@@ -18,10 +18,11 @@ Runs three workloads against :mod:`repro.engine` and writes a single
 4. **portfolio** — one synthesis query run with ``jobs=1`` and
    ``jobs=4``; the verdicts (found / exhausted) must be identical.
 5. **service** — the same batch-verification workload dispatched
-   through a persistent :class:`repro.service.WorkerPool` (fork once,
-   warm incremental verifiers) vs ``run_portfolio`` (fork per batch);
-   the pooled path must be >= 1.3x faster end to end, pool start/stop
-   included, with identical verdicts batch by batch.
+   through one persistent :class:`repro.service.WorkerPool` (fork once,
+   warm incremental verifiers) vs a fresh pool per batch running fresh
+   verifiers (fork per batch); the persistent pool must be >= 1.3x
+   faster end to end, pool start/stop included, with identical
+   verdicts batch by batch.
 6. **matrix** — the candidates x environments verification grid
    (lossless + finite-buffer lossy) over repeated rounds: pooled
    dispatch with per-environment warm verifiers vs fork-per-cell;
@@ -293,6 +294,15 @@ def bench_portfolio(cfg: ModelConfig, budget: float) -> dict:
     }
 
 
+def _fork_per_batch(tasks: list, wait_all: dict):
+    """The fork-per-batch baseline: a fresh pool with one worker per
+    task, started and shut down around the batch."""
+    from repro.service import WorkerPool
+
+    with WorkerPool(size=len(tasks)) as pool:
+        return pool.run_batch(tasks, **wait_all)
+
+
 def bench_matrix(cfg: ModelConfig, candidates: list, rounds: int) -> dict:
     """The candidates x environments grid, dispatched the two ways a
     multi-environment synthesis loop can run it.
@@ -310,7 +320,6 @@ def bench_matrix(cfg: ModelConfig, candidates: list, rounds: int) -> dict:
     from repro.engine.portfolio import (
         _pooled_verify_candidate_task,
         _verify_candidate_task,
-        run_portfolio,
     )
     from repro.service import WorkerPool
 
@@ -336,7 +345,7 @@ def bench_matrix(cfg: ModelConfig, candidates: list, rounds: int) -> dict:
     forked_verdicts = []
     t0 = time.perf_counter()
     for _ in range(rounds):
-        outcome = run_portfolio(_tasks(_verify_candidate_task), **wait_all)
+        outcome = _fork_per_batch(_tasks(_verify_candidate_task), wait_all)
         forked_verdicts.append(_verdicts(outcome))
     forked_s = time.perf_counter() - t0
 
@@ -370,16 +379,16 @@ def bench_service(cfg: ModelConfig, candidates: list, rounds: int) -> dict:
 
     Both sides run the *same* ``rounds`` batches over the same
     candidates with no query cache, so the only difference is dispatch:
-    ``run_portfolio`` pays a fresh fork + base-network encode per task
-    per batch, the :class:`WorkerPool` pays it once per worker and then
-    serves warm incremental verifiers.  Pool start-up and shutdown are
+    fork per batch (:func:`_fork_per_batch`) pays a fresh fork +
+    base-network encode per task per batch, the persistent
+    :class:`WorkerPool` pays it once per worker and then serves warm
+    incremental verifiers.  Pool start-up and shutdown are
     inside the pooled timing — the speedup is the amortized one a
     long-lived ``ccmatic serve`` actually delivers.
     """
     from repro.engine.portfolio import (
         _pooled_verify_candidate_task,
         _verify_candidate_task,
-        run_portfolio,
     )
     from repro.service import WorkerPool
 
@@ -402,7 +411,7 @@ def bench_service(cfg: ModelConfig, candidates: list, rounds: int) -> dict:
     forked_verdicts = []
     t0 = time.perf_counter()
     for _ in range(rounds):
-        outcome = run_portfolio(_tasks(_verify_candidate_task), **wait_all)
+        outcome = _fork_per_batch(_tasks(_verify_candidate_task), wait_all)
         forked_verdicts.append(_verdicts(outcome))
     forked_s = time.perf_counter() - t0
 

@@ -219,6 +219,13 @@ def current_injector() -> Optional[FaultInjector]:
     return _injector
 
 
+def set_injector(injector: Optional[FaultInjector]) -> None:
+    """Adopt ``injector`` (state included) as this process's own; a pool
+    worker runs each task under the injector its parent had armed."""
+    global _injector
+    _injector = injector
+
+
 def chaos_point(point: str, **ctx) -> None:
     """Visit a named injection point (no-op unless an injector is armed)."""
     if _injector is not None:
@@ -228,8 +235,9 @@ def chaos_point(point: str, **ctx) -> None:
 def maybe_install_from_env() -> Optional[FaultInjector]:
     """Arm the injector from ``REPRO_CHAOS`` (worker-child propagation).
 
-    Forked children inherit the parent's injector; env installation only
-    happens when nothing is armed yet, so an in-process ``install`` wins.
+    Env installation only happens when nothing is armed yet, so an
+    in-process ``install`` wins; pool workers also prefer the injector
+    their parent sends with each task (see ``runtime.workers``).
     """
     if _injector is not None:
         return _injector

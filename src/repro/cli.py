@@ -171,9 +171,9 @@ def _add_runtime_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("performance")
     g.add_argument(
         "--jobs", type=_positive_int, default=None, metavar="N",
-        help="portfolio width: verify N candidates concurrently in "
-             "isolated workers; the first conclusive verdict wins the "
-             "round (default: 1, sequential)",
+        help="portfolio width: verify N candidates concurrently on a "
+             "pool of N workers with warm solver sessions; the first "
+             "conclusive verdict wins the round (default: 1, sequential)",
     )
     g.add_argument(
         "--cache-dir", metavar="PATH", default=None,
@@ -183,7 +183,8 @@ def _add_runtime_args(p: argparse.ArgumentParser) -> None:
     g.add_argument(
         "--incremental", action="store_true",
         help="keep one incremental solver session across verifier calls "
-             "(in-process verifier only; implied off under --isolate/--jobs)",
+             "(in-process verifier only; --jobs workers always do, "
+             "--isolate attempts never do)",
     )
     _add_pipeline_arg(g)
 

@@ -131,16 +131,21 @@ def synthesize(
     per-iteration crash-safe state persistence (see
     :mod:`repro.runtime.checkpoint`).  With ``query.jobs > 1`` and no
     explicit verifier, a :class:`repro.engine.PortfolioVerifier` races
-    batches of candidates across worker processes.
+    batches of candidates on a worker pool of size ``jobs`` that lives
+    as long as the run.
     """
     start = time.perf_counter()
     generator = make_generator(query)
+    pool = None
     if verifier is None:
         if query.jobs > 1:
             from ..engine import PortfolioVerifier
+            from ..service.pool import WorkerPool
 
+            pool = WorkerPool(size=query.jobs)
             verifier = PortfolioVerifier(
-                query.cfg, jobs=query.jobs, environments=query.environments
+                query.cfg, jobs=query.jobs, environments=query.environments,
+                pool=pool,
             )
         else:
             verifier = CcacVerifier(query.cfg, environments=query.environments)
@@ -153,9 +158,13 @@ def synthesize(
         verbose=query.verbose,
         jobs=query.jobs,
     )
-    outcome: CegisOutcome = CegisLoop(
-        generator, verifier, options, checkpoint=checkpoint
-    ).run()
+    try:
+        outcome: CegisOutcome = CegisLoop(
+            generator, verifier, options, checkpoint=checkpoint
+        ).run()
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return SynthesisResult(
         query=query,
         solutions=outcome.solutions,

@@ -2,13 +2,20 @@
 
 The CEGIS loop spends nearly all wall-clock time inside verifier SMT
 checks, and a single check pins one core.  A *portfolio* round evaluates
-several candidate CCAs concurrently in isolated worker processes
-(reusing the :mod:`repro.runtime.workers` spawn/cap machinery) and
-cancels the losers the moment one worker returns a *conclusive* result —
-a counterexample to feed the generator, or a verified candidate.  This
-is the CC-Fuzz observation (Ray & Seshan 2022) applied to synthesis:
-stress-search over CCA behaviours scales near-linearly with workers
-because any one discovered trace advances the loop.
+several candidate CCAs concurrently on the workers of a
+:class:`repro.service.pool.WorkerPool` — the one fan-out layer behind
+every worker process — and cancels the losers the moment one worker
+returns a *conclusive* result: a counterexample to feed the generator,
+or a verified candidate.  This is the CC-Fuzz observation (Ray & Seshan
+2022) applied to synthesis: stress-search over CCA behaviours scales
+near-linearly with workers because any one discovered trace advances
+the loop.
+
+Each pool worker keeps a warm incremental verifier across rounds
+(:func:`_pooled_verify_candidate_task`): the base CCAC encoding is
+asserted once per worker and learned clauses carry over.  A run that is
+not handed a pool (``ccmatic synthesize --jobs N``) gets one of size
+``jobs`` for its lifetime; the job service injects its shared pool.
 
 Cancellation is safe for soundness: a cancelled worker's verdict is
 simply never used, and candidates whose verification was cancelled stay
@@ -22,16 +29,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from multiprocessing.connection import wait as _wait_connections
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional
 
 from ..obs import DEBUG, metrics, tracer
 from ..obs.flight import dump_flight
-from ..obs.relay import TraceContext, drain_telemetry, merge_frame
-from ..runtime.errors import SoundnessError, WorkerError
-from ..runtime.workers import WorkerLimits, WorkerReport, reap_worker, spawn_worker
+from ..runtime.workers import WorkerLimits, WorkerReport
 
-__all__ = ["PortfolioOutcome", "PortfolioVerifier", "run_portfolio"]
+__all__ = ["PortfolioOutcome", "PortfolioVerifier"]
 
 
 @dataclass
@@ -47,141 +51,9 @@ class PortfolioOutcome:
     #: per-index reports for tasks that finished on their own
     reports: dict[int, WorkerReport] = field(default_factory=dict)
     wall_time: float = 0.0
-    #: telemetry frames received per task index (merged by run_portfolio;
-    #: kept for callers that want per-worker attribution)
+    #: telemetry frames received per task index (merged by
+    #: ``WorkerPool.run_batch``; kept for per-worker attribution)
     telemetry: dict[int, list] = field(default_factory=dict)
-
-
-def run_portfolio(
-    tasks: Sequence[tuple],
-    *,
-    accept: Optional[Callable[[Any], bool]] = None,
-    wall_time: Optional[float] = None,
-    memory_mb: Optional[int] = None,
-    kill_grace: float = 1.0,
-) -> PortfolioOutcome:
-    """Race ``tasks`` (``(fn, args)`` or ``(fn, args, kwargs)`` tuples)
-    in parallel isolated workers; first accepted result wins.
-
-    ``accept(result)`` decides whether a completed result ends the race
-    (default: any ok result does).  Losers are terminated immediately —
-    SIGTERM, then SIGKILL after ``kill_grace`` — and *joined* before
-    returning, so no zombie workers outlive the call.  ``wall_time``
-    bounds the whole race; on expiry every still-running worker is
-    killed and reported with status ``timeout``.
-
-    Raises :class:`SoundnessError` if any worker reports one (soundness
-    is never racy), and :class:`WorkerError` if every task errored.
-    """
-    accept = accept or (lambda _result: True)
-    tr = tracer()
-    start = time.perf_counter()
-    deadline = None if wall_time is None else start + wall_time
-    workers: dict[int, tuple] = {}  # index -> (proc, conn)
-    outcome = PortfolioOutcome(winner=None, result=None, cancelled=[])
-    with tr.span("engine.portfolio.race", size=len(tasks)) as race:
-        anchor = getattr(race, "span_id", None)
-        anchor_depth = getattr(race, "depth", 0)
-        try:
-            for i, task in enumerate(tasks):
-                fn, args = task[0], task[1]
-                kwargs = task[2] if len(task) > 2 else None
-                workers[i] = spawn_worker(
-                    fn, args, kwargs, memory_mb,
-                    trace_ctx=TraceContext(
-                        trace_id=tr.trace_id,
-                        parent_span=anchor,
-                        worker_id=f"w{i}",
-                    ),
-                )
-            pending = dict(workers)
-            while pending and outcome.winner is None:
-                timeout = None
-                if deadline is not None:
-                    timeout = deadline - time.perf_counter()
-                    if timeout <= 0:
-                        break
-                conns = {conn: i for i, (_p, conn) in pending.items()}
-                ready = _wait_connections(list(conns), timeout=timeout)
-                if not ready:
-                    break  # race-level timeout
-                for conn in ready:
-                    i = conns[conn]
-                    proc, _ = pending[i]
-                    try:
-                        msg = conn.recv()
-                    except (EOFError, OSError):
-                        msg = ("crash", f"worker died with exit code {proc.exitcode}")
-                    if (
-                        isinstance(msg, tuple) and len(msg) == 2
-                        and msg[0] == "telemetry"
-                    ):
-                        # the final status message follows on this pipe;
-                        # leave the worker pending until it arrives
-                        outcome.telemetry.setdefault(i, []).append(msg[1])
-                        continue
-                    pending.pop(i)
-                    status, payload = msg
-                    if status == "soundness":
-                        # merge what already arrived so the black box
-                        # carries the offending worker's final spans
-                        for frames in outcome.telemetry.values():
-                            for frame in frames:
-                                merge_frame(
-                                    frame, anchor_span=anchor,
-                                    anchor_depth=anchor_depth,
-                                )
-                        outcome.telemetry.clear()
-                        dump_flight("soundness")
-                        raise SoundnessError(payload)
-                    if status == "ok":
-                        report = WorkerReport(
-                            status="ok", result=payload,
-                            wall_time=time.perf_counter() - start,
-                        )
-                        outcome.reports[i] = report
-                        if accept(payload):
-                            outcome.winner = i
-                            outcome.result = payload
-                            break
-                    else:
-                        outcome.reports[i] = WorkerReport(
-                            status=status, detail=str(payload),
-                            wall_time=time.perf_counter() - start,
-                        )
-            # anything still pending lost the race (or hit the deadline);
-            # a loser that finished just after the winner may have its
-            # telemetry sitting in the pipe — keep it, drop its verdict
-            for i, (proc, conn) in pending.items():
-                drain_telemetry(conn, outcome.telemetry.setdefault(i, []))
-                if not outcome.telemetry[i]:
-                    del outcome.telemetry[i]
-                if outcome.winner is not None:
-                    outcome.cancelled.append(i)
-                else:
-                    outcome.reports[i] = WorkerReport(
-                        status="timeout",
-                        detail=f"portfolio race exceeded {wall_time:.1f}s" if wall_time else "timeout",
-                    )
-        finally:
-            for proc, conn in workers.values():
-                reap_worker(proc, conn, kill_grace)
-        for i, frames in sorted(outcome.telemetry.items()):
-            for frame in frames:
-                merge_frame(frame, anchor_span=anchor, anchor_depth=anchor_depth)
-        race.set(
-            winner=outcome.winner,
-            relayed=sum(len(f) for f in outcome.telemetry.values()),
-        )
-    outcome.cancelled.sort()
-    outcome.wall_time = time.perf_counter() - start
-    if outcome.winner is None and outcome.reports and all(
-        r.status == "error" for r in outcome.reports.values()
-    ):
-        raise WorkerError(
-            "; ".join(r.detail for r in outcome.reports.values())
-        )
-    return outcome
 
 
 # -- the portfolio CCAC verifier ---------------------------------------------
@@ -191,16 +63,18 @@ def _verify_candidate_task(
     cfg, precision, candidate, worst_case, time_limit, validate, cache_dir,
     certify=False, environments=None,
 ):
-    """Runs inside a worker: one fresh verifier, one candidate.
+    """Runs inside a worker: one fresh verifier, one candidate — the
+    task of every :class:`~repro.runtime.workers.IsolatedVerifier`
+    attempt.
 
     ``cache_dir`` (when set) plugs a shared on-disk
     :class:`~repro.engine.cache.QueryCache` into the verifier, so
     concurrent workers pool their conclusive subquery verdicts.
     ``certify`` makes the worker's verifier proof-producing; the result
     carries a picklable certificate summary back across the pipe.
-    ``environments`` restricts the worker to one cell of the environment
-    matrix (the parent races the full candidates × environments grid and
-    aggregates per-environment verdicts).
+    ``environments`` is the environment set the verdict covers (the
+    portfolio hands each task one cell of the candidates × environments
+    grid and aggregates per-environment verdicts in the parent).
     """
     from ..core.verifier import CcacVerifier
     from .cache import QueryCache
@@ -230,7 +104,7 @@ def _pooled_verify_candidate_task(
 ):
     """Runs inside a *persistent* pool worker: warm verifier, one candidate.
 
-    Unlike :func:`_verify_candidate_task` (fresh process, fresh verifier)
+    Unlike :func:`_verify_candidate_task` (fresh verifier per task)
     this keeps one incremental :class:`~repro.core.verifier.CcacVerifier`
     alive in ``_WORKER_STATE`` across tasks — the base CCAC encoding is
     asserted once and candidates come and go in push/pop scopes, learned
@@ -290,17 +164,15 @@ class PortfolioVerifier:
     """Batch-capable verifier racing candidates across worker processes.
 
     Implements both :class:`repro.cegis.interfaces.Verifier` (single
-    candidate, one isolated worker) and
+    candidate, a batch of one) and
     :class:`repro.cegis.interfaces.BatchVerifier`
     (:meth:`verify_batch`: race a batch, first conclusive verdict wins,
     losers cancelled).  ``cache_dir`` gives every worker a shared
     on-disk query cache.
 
-    ``pool`` (duck-typed: anything with
-    ``run_batch(tasks, accept=, wall_time=)`` returning a
-    :class:`PortfolioOutcome`, normally a
-    :class:`repro.service.pool.WorkerPool`) switches dispatch from
-    fork-per-batch to the persistent pool: tasks use
+    ``pool`` is the :class:`repro.service.pool.WorkerPool` (duck-typed:
+    anything with ``run_batch(tasks, accept=, wall_time=)`` returning a
+    :class:`PortfolioOutcome`) every batch dispatches to.  Tasks run
     :func:`_pooled_verify_candidate_task`, whose warm incremental
     verifier amortizes encoding/compile/learned-clause work across
     batches.  The pool's lifecycle belongs to the caller — this class
@@ -321,6 +193,8 @@ class PortfolioVerifier:
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1 (got {jobs})")
+        if pool is None:
+            raise ValueError("PortfolioVerifier needs a worker pool")
         self.cfg = cfg
         self.jobs = jobs
         self.wce_precision = Fraction(wce_precision)
@@ -342,8 +216,7 @@ class PortfolioVerifier:
         self, candidate, worst_case: bool, budget: Optional[float], env=None
     ):
         return (
-            _pooled_verify_candidate_task if self.pool is not None
-            else _verify_candidate_task,
+            _pooled_verify_candidate_task,
             (
                 self.cfg,
                 self.wce_precision,
@@ -424,17 +297,9 @@ class PortfolioVerifier:
             accept = _conclusive
         if budget is None:
             outcome = PortfolioOutcome(winner=None, result=None, cancelled=[])
-        elif self.pool is not None:
+        else:
             outcome = self.pool.run_batch(
                 tasks, accept=accept, wall_time=watchdog,
-            )
-        else:
-            outcome = run_portfolio(
-                tasks,
-                accept=accept,
-                wall_time=watchdog,
-                memory_mb=self.limits.memory_mb,
-                kill_grace=self.limits.kill_grace,
             )
         self.cancelled += len(outcome.cancelled)
         self.total_time += time.perf_counter() - start

@@ -5,12 +5,12 @@ runner maps the whole terrain: the Cartesian product of link rates,
 jitter bounds, adversary policies, initial standing queues, and
 environment cells (lossless plus lossy drop-tail buffers), each cell
 simulated as a constant :class:`TraceSchedule` and judged by the
-:class:`PropertyOracle` of its environment.  Cells are chunked across worker processes via
-:func:`repro.runtime.workers.spawn_worker` — the same capped-fork
-primitive the solver portfolio uses — with each worker's spans and
-metric deltas relayed back through :mod:`repro.obs.relay` and merged
-under the grid span, so ``ccmatic report`` attributes grid cost exactly
-like in-process cost.
+:class:`PropertyOracle` of its environment.  Cells are chunked across
+the workers of a :class:`repro.service.pool.WorkerPool` — the same
+fan-out layer the solver portfolio uses — as one wait-all batch, with
+each worker's spans and metric deltas relayed back through
+:mod:`repro.obs.relay` and merged under the grid span, so
+``ccmatic report`` attributes grid cost exactly like in-process cost.
 
 Every run emits an :class:`ExperimentManifest`: the full axes, seed,
 CCA spec, per-cell records, and a stable JSON encoding — re-running
@@ -26,14 +26,11 @@ import json
 import time
 from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from fractions import Fraction
-from multiprocessing.connection import wait as _wait_connections
 from pathlib import Path
 from typing import Optional
 
 from ..obs import metrics, tracer
-from ..obs.relay import TraceContext, drain_telemetry, merge_frame
 from ..runtime.errors import WorkerError
-from ..runtime.workers import reap_worker, spawn_worker
 from .oracle import PropertyOracle
 from .schedule import SEGMENT_POLICIES, constant_schedule, run_schedule
 
@@ -273,10 +270,11 @@ def run_grid(
     """Sweep the grid for ``cca_spec``; returns the manifest.
 
     ``jobs <= 0`` runs in-process (no fork) — handy under debuggers;
-    otherwise cells are split into ``jobs`` contiguous chunks, each in a
-    capped worker, results re-assembled in cell order.  A worker that
-    dies or times out fails the run loudly (:class:`WorkerError`) —
-    a silently missing chunk would make the manifest lie about coverage.
+    otherwise cells are split into ``jobs`` contiguous chunks, one task
+    each on a pool of ``jobs`` workers, results re-assembled in cell
+    order.  A chunk that errors, dies or times out fails the run loudly
+    (:class:`WorkerError`) — a silently missing chunk would make the
+    manifest lie about coverage.
     """
     points = grid.points()
     tr = tracer()
@@ -291,91 +289,38 @@ def run_grid(
             grid.ticks, grid.seed,
         )
     else:
+        from ..service.pool import WorkerPool
+
         jobs = min(jobs, len(points)) or 1
-        bounds = [
-            (len(points) * k // jobs, len(points) * (k + 1) // jobs)
+        chunks = [
+            points[len(points) * k // jobs:len(points) * (k + 1) // jobs]
             for k in range(jobs)
         ]
-        chunks = [points[lo:hi] for lo, hi in bounds]
+        tasks = [
+            (
+                _grid_task,
+                (
+                    cca_spec, manifest.cfg, [p.to_dict() for p in chunk],
+                    grid.ticks, grid.seed,
+                ),
+            )
+            for chunk in chunks
+        ]
         with tr.span("falsify.grid", cca=cca_spec, cells=len(points),
                      jobs=jobs) as gspan:
-            anchor = getattr(gspan, "span_id", None)
-            anchor_depth = getattr(gspan, "depth", 0)
-            workers: dict[int, tuple] = {}
-            chunk_records: dict[int, list] = {}
-            telemetry: dict[int, list] = {}
-            try:
-                for k, chunk in enumerate(chunks):
-                    workers[k] = spawn_worker(
-                        _grid_task,
-                        (
-                            cca_spec, manifest.cfg,
-                            [p.to_dict() for p in chunk],
-                            grid.ticks, grid.seed,
-                        ),
-                        trace_ctx=TraceContext(
-                            trace_id=tr.trace_id,
-                            parent_span=anchor,
-                            worker_id=f"g{k}",
-                        ),
-                    )
-                pending = dict(workers)
-                deadline = (
-                    None if wall_time is None else start + wall_time
+            with WorkerPool(size=jobs) as pool:
+                outcome = pool.run_batch(
+                    tasks, accept=lambda _r: False, wall_time=wall_time
                 )
-                while pending:
-                    timeout = None
-                    if deadline is not None:
-                        timeout = deadline - time.perf_counter()
-                        if timeout <= 0:
-                            break
-                    conns = {conn: k for k, (_p, conn) in pending.items()}
-                    ready = _wait_connections(list(conns), timeout=timeout)
-                    if not ready:
-                        break
-                    for conn in ready:
-                        k = conns[conn]
-                        proc, _ = pending[k]
-                        try:
-                            msg = conn.recv()
-                        except (EOFError, OSError):
-                            msg = (
-                                "crash",
-                                f"worker died with exit code {proc.exitcode}",
-                            )
-                        if (
-                            isinstance(msg, tuple) and len(msg) == 2
-                            and msg[0] == "telemetry"
-                        ):
-                            telemetry.setdefault(k, []).append(msg[1])
-                            continue
-                        pending.pop(k)
-                        status, payload = msg
-                        if status != "ok":
-                            raise WorkerError(
-                                f"grid worker g{k} failed ({status}): "
-                                f"{payload}"
-                            )
-                        chunk_records[k] = payload
-                if pending:
+            reports = [outcome.reports[k] for k in range(len(tasks))]
+            for k, report in enumerate(reports):
+                if not report.ok:
                     raise WorkerError(
-                        f"grid run exceeded {wall_time:.1f}s with "
-                        f"{len(pending)} worker(s) outstanding"
+                        f"grid chunk {k} failed ({report.status}): "
+                        f"{report.detail}"
                     )
-            finally:
-                for k, (proc, conn) in workers.items():
-                    drain_telemetry(conn, telemetry.setdefault(k, []))
-                    reap_worker(proc, conn)
-                for k, frames in sorted(telemetry.items()):
-                    for frame in frames:
-                        merge_frame(
-                            frame, anchor_span=anchor,
-                            anchor_depth=anchor_depth,
-                        )
             manifest.records = [
-                record
-                for k in range(len(chunks))
-                for record in chunk_records[k]
+                record for report in reports for record in report.result
             ]
             gspan.set(violations=len(manifest.violations))
     reg.counter("falsify.grid.cells").inc(len(manifest.records))

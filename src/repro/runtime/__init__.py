@@ -7,9 +7,10 @@ answer.  This package handles both classes explicitly:
 
 - :mod:`~repro.runtime.checkpoint` — atomic JSON checkpoints of CEGIS
   state; a SIGKILL'd run resumes deterministically (``ccmatic resume``).
-- :mod:`~repro.runtime.workers` — verifier calls in isolated
-  ``multiprocessing`` workers with hard wall-clock and memory caps; a
-  killed worker is an honest ``unknown``, retried with escalated budgets.
+- :mod:`~repro.runtime.workers` — the pool worker process, and verifier
+  calls isolated on single-worker pools with hard wall-clock and memory
+  caps; a killed worker is an honest ``unknown``, retried with escalated
+  budgets.
 - :mod:`~repro.runtime.degrade` — the degradation ladder: recorded,
   structured weakenings (worst-case fallback, precision step-down) so a
   stuck run still terminates with a verdict.
@@ -54,7 +55,7 @@ from .validate import (
     validate_counterexample,
     validate_model,
 )
-from .workers import IsolatedVerifier, WorkerLimits, WorkerReport, run_isolated
+from .workers import IsolatedVerifier, WorkerLimits, WorkerReport
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -82,7 +83,6 @@ __all__ = [
     "evaluate_term",
     "query_fingerprint",
     "resume_synthesis",
-    "run_isolated",
     "run_synthesis",
     "validate_assignment",
     "validate_counterexample",

@@ -5,6 +5,7 @@
 
     CcacVerifier                    (validation always innermost)
       -> IsolatedVerifier           (optional: worker isolation + caps)
+         or PortfolioVerifier       (jobs > 1: batches on a WorkerPool)
         -> ResilientVerifier        (optional: degradation ladder)
           -> CegisLoop + CheckpointStore (optional: crash-safe state)
 
@@ -79,20 +80,21 @@ class RuntimeOptions:
     #: directory of the shared on-disk query cache (None disables it);
     #: portfolio workers and successive runs pool conclusive verdicts
     cache_dir: Optional[str] = None
-    #: keep one incremental solver session across verifier calls
-    #: (in-process verifier only; isolated/portfolio workers are fresh
-    #: per call by design)
+    #: keep one incremental solver session across verifier calls of the
+    #: in-process verifier (``jobs=1``, no isolation).  Portfolio workers
+    #: (``jobs > 1``) always keep warm incremental sessions; isolated
+    #: attempts always build a fresh verifier
     incremental: bool = False
     #: produce and independently check an UNSAT proof for every verified
     #: verdict (see :mod:`repro.trust`); a proof that fails to check
     #: raises :class:`~repro.runtime.errors.SoundnessError`
     certify: bool = False
     #: runtime-injected persistent worker pool
-    #: (:class:`repro.service.pool.WorkerPool`); portfolio rounds
-    #: (``jobs > 1``) dispatch to it instead of forking per batch.  Never
-    #: serialized — a pool belongs to the process that started it, and
-    #: its lifecycle stays with that owner (this module never shuts one
-    #: down)
+    #: (:class:`repro.service.pool.WorkerPool`) for the portfolio rounds
+    #: of ``jobs > 1`` runs.  When None, :func:`run_synthesis` starts a
+    #: pool of size ``jobs`` for the run and shuts it down afterwards.
+    #: Never serialized — a pool belongs to the process that started it,
+    #: and an injected pool's lifecycle stays with its owner
     worker_pool: Optional[object] = None
 
 
@@ -193,13 +195,24 @@ def run_synthesis(query, options: Optional[RuntimeOptions] = None):
             os.path.dirname(os.path.abspath(options.checkpoint_path)) or "."
         )
     ensure_flight_recorder()
+    owned_pool = None
+    jobs = int(getattr(query, "jobs", 1))
+    if jobs > 1 and options.worker_pool is None:
+        from ..service.pool import WorkerPool
+
+        owned_pool = WorkerPool(size=jobs, memory_mb=options.solver_mem_mb)
+        options = replace(options, worker_pool=owned_pool)
     verifier, parts = _build_verifier(query, options)
     checkpoint = (
         make_checkpoint_store(query, options.checkpoint_path)
         if options.checkpoint_path
         else None
     )
-    result = synthesize(query, verifier=verifier, checkpoint=checkpoint)
+    try:
+        result = synthesize(query, verifier=verifier, checkpoint=checkpoint)
+    finally:
+        if owned_pool is not None:
+            owned_pool.shutdown()
     merged: list = []
     for part in parts:
         merged.extend(getattr(part, "degradations", ()))

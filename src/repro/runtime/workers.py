@@ -1,12 +1,21 @@
-"""Isolated solver workers: hard wall-clock and memory caps around checks.
+"""Solver worker processes: the pool child, and isolation around checks.
+
+Every worker process under ``src/`` is started by
+:func:`spawn_pool_worker` and driven by
+:class:`repro.service.pool.WorkerPool` — the one fan-out layer behind
+local ``--jobs`` portfolios, ``--isolate`` runs, falsification grids and
+the job service.  This module holds the process side of that layer: the
+long-lived child loop (:func:`_pool_child`), its spawn, heartbeat and
+disposal primitives, and :class:`IsolatedVerifier`.
 
 The from-scratch DPLL(T) solver runs exact-Fraction arithmetic in pure
 Python: a single pathological query can pin a core for hours or swallow
 all RAM, and the in-band ``deadline`` check only fires *between*
-conflicts.  This module provides the out-of-band guarantee: the verifier
-call runs in a forked ``multiprocessing`` worker whose parent enforces a
-hard watchdog (SIGTERM, then SIGKILL) and whose child self-limits memory
-via ``resource.setrlimit(RLIMIT_AS, ...)``.
+conflicts.  :class:`IsolatedVerifier` provides the out-of-band
+guarantee: each verifier call runs on a single-worker pool whose batch
+watchdog cancels the task (SIGUSR1, then a kill after ``kill_grace``)
+and whose child self-limits memory via
+``resource.setrlimit(RLIMIT_AS, ...)``.
 
 A killed or OOM'd worker is an *honest* ``unknown`` — never a crash of
 the synthesis run and never a silent "verified".  Failures are retried a
@@ -28,21 +37,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
 
-from ..chaos.faults import chaos_point, maybe_install_from_env
+from ..chaos.faults import chaos_point, maybe_install_from_env, set_injector
 from ..chaos.supervisor import full_jitter_backoff
 from ..obs import WARN, metrics, tracer
 from ..obs.flight import dump_flight
-from ..obs.relay import TraceContext, merge_frame, start_capture
-from ..smt.terms import interned_scope
-from .errors import SoundnessError, WorkerError
+from ..obs.relay import TraceContext
+from .errors import SoundnessError
 
 __all__ = [
     "IsolatedVerifier",
     "WorkerLimits",
     "WorkerReport",
     "probe_worker",
-    "run_isolated",
-    "spawn_worker",
     "spawn_pool_worker",
     "reap_worker",
 ]
@@ -67,9 +73,9 @@ class WorkerLimits:
 
 @dataclass
 class WorkerReport:
-    """Outcome of one isolated call."""
+    """Outcome of one pool task."""
 
-    status: str  # ok | timeout | oom | crash | error | soundness
+    status: str  # ok | timeout | oom | crash | error | cancelled
     result: Any = None
     detail: str = ""
     wall_time: float = 0.0
@@ -82,98 +88,6 @@ class WorkerReport:
 def _mp_context():
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-def _child_entry(
-    conn, fn, args, kwargs, memory_mb: Optional[int],
-    trace_ctx: Optional[TraceContext] = None,
-) -> None:
-    """Worker bootstrap: neutralize inherited sinks (the relay supersedes
-    them — writing to the parent's shared trace fd would interleave
-    records mid-line), start telemetry capture, cap memory, run, then
-    ship the telemetry frame followed by the final status message."""
-    capture = start_capture(trace_ctx)
-    if memory_mb is not None:
-        try:
-            import resource
-
-            limit = memory_mb * 1024 * 1024
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-        except (ImportError, ValueError, OSError):
-            pass  # platform without rlimits: watchdog still applies
-    maybe_install_from_env()
-
-    def _ship_telemetry() -> None:
-        # advisory by design: a frame that cannot be built or sent is
-        # simply absent; the status message that follows must still go out
-        try:
-            conn.send(("telemetry", capture.finish()))
-        except Exception:  # noqa: BLE001 - never mask the real outcome
-            pass
-
-    try:
-        # inside the try: an injected MemoryError reports as "oom", an
-        # injected RuntimeError as "error"; a kill is a hard death the
-        # parent sees as "crash" — exactly like the real faults
-        chaos_point("worker.child")
-        # Scope the term intern table: a forked child inherits the
-        # parent's interned terms, and verification builds large per-task
-        # DAGs on top.  The scope releases the task's term churn as soon
-        # as the work is done (results crossing the pipe are plain data,
-        # never Term objects, so nothing escapes the scope).
-        with interned_scope():
-            with tracer().span(
-                "worker.run", task=getattr(fn, "__name__", "?"),
-            ):
-                result = fn(*args, **(kwargs or {}))
-        _ship_telemetry()
-        conn.send(("ok", result))
-    except SoundnessError as exc:
-        _ship_telemetry()
-        conn.send(("soundness", str(exc)))
-    except MemoryError:
-        _ship_telemetry()
-        conn.send(("oom", f"worker exceeded {memory_mb} MiB"))
-    except BaseException as exc:  # noqa: BLE001 - report, parent decides
-        _ship_telemetry()
-        conn.send(("error", f"{type(exc).__name__}: {exc}"))
-    finally:
-        conn.close()
-
-
-def spawn_worker(
-    fn,
-    args: tuple = (),
-    kwargs: Optional[dict] = None,
-    memory_mb: Optional[int] = None,
-    trace_ctx: Optional[TraceContext] = None,
-):
-    """Start one capped worker; returns ``(process, connection)``.
-
-    The caller owns the lifecycle: poll/recv on the connection, then
-    :func:`reap_worker`.  This is the spawn primitive shared by
-    :func:`run_isolated` (one worker, blocking) and the parallel
-    portfolio (:mod:`repro.engine.portfolio`: many workers, first
-    conclusive result wins).
-
-    ``trace_ctx`` threads the parent's trace id, anchor span, and the
-    worker's lane tag into the child; the child answers with a
-    ``("telemetry", frame)`` message before its final status message
-    (see :mod:`repro.obs.relay`).  When None, a default context is built
-    from the calling thread's innermost open span.
-    """
-    if trace_ctx is None:
-        trace_ctx = TraceContext.current()
-    ctx = _mp_context()
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    proc = ctx.Process(
-        target=_child_entry,
-        args=(child_conn, fn, args, kwargs, memory_mb, trace_ctx),
-        daemon=True,
-    )
-    proc.start()
-    child_conn.close()
-    return proc, parent_conn
 
 
 def reap_worker(proc, conn, kill_grace: float = 1.0) -> None:
@@ -210,7 +124,7 @@ def _pool_child(conn, memory_mb: Optional[int], trace_ctx: Optional[TraceContext
 
     Protocol (all messages are tuples; first element is the kind):
 
-    * parent -> child: ``("task", task_id, fn, args, kwargs)``,
+    * parent -> child: ``("task", task_id, fn, args, kwargs, injector)``,
       ``("prime", fn, args, kwargs)``, ``("ping", nonce)``,
       ``("shutdown",)``
     * child -> parent: per task one ``("telemetry", frame)`` followed by
@@ -220,12 +134,17 @@ def _pool_child(conn, memory_mb: Optional[int], trace_ctx: Optional[TraceContext
 
     Cancellation: the parent sends ``SIGUSR1``; the handler raises
     :class:`TaskCancelled` *only while a task is executing*, so a signal
-    that lands between tasks is ignored.  Unlike the one-shot
-    :func:`_child_entry`, tasks here run *without* an
+    that lands between tasks is ignored.  Tasks run *without* an
     ``interned_scope`` — keeping interned terms (and any process-global
     state the tasks build, e.g. incremental verifier sessions) warm
     across tasks is the point of pooling; the pool bounds the resulting
     memory growth by recycling workers after ``max_tasks_per_worker``.
+
+    Chaos: each task carries the parent's fault injector as of dispatch
+    (``None`` when disarmed) and runs under it, so arming or disarming
+    in the parent reaches workers spawned before the change.  The
+    injector inherited across the fork is dropped at boot; with the
+    parent disarmed, a ``REPRO_CHAOS`` experiment armed here applies.
     """
     import signal
 
@@ -242,7 +161,8 @@ def _pool_child(conn, memory_mb: Optional[int], trace_ctx: Optional[TraceContext
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
         except (ImportError, ValueError, OSError):
             pass
-    maybe_install_from_env()
+    set_injector(None)
+    env_injector = maybe_install_from_env()
 
     busy = [False]
 
@@ -281,8 +201,8 @@ def _pool_child(conn, memory_mb: Optional[int], trace_ctx: Optional[TraceContext
             except Exception as exc:  # noqa: BLE001 - priming is advisory
                 _safe_send(("primed", f"{type(exc).__name__}: {exc}"))
             continue
-        # ("task", task_id, fn, args, kwargs)
-        _, task_id, fn, args, kwargs = msg
+        _, task_id, fn, args, kwargs, injector = msg
+        set_injector(injector if injector is not None else env_injector)
         capture = TelemetryCapture(trace_ctx, task=str(task_id))
         busy[0] = True
         try:
@@ -379,114 +299,18 @@ def probe_worker(proc, conn, timeout: float = 1.0) -> str:
         continue
 
 
-def run_isolated(
-    fn,
-    args: tuple = (),
-    kwargs: Optional[dict] = None,
-    wall_time: Optional[float] = None,
-    memory_mb: Optional[int] = None,
-    kill_grace: float = 1.0,
-    worker_id: str = "w0",
-) -> WorkerReport:
-    """One attempt: run ``fn(*args, **kwargs)`` in a fresh capped worker.
-
-    ``wall_time`` is the hard watchdog; callers that also thread a soft
-    deadline into ``fn`` should leave a little headroom so the in-band
-    abort usually wins and the watchdog is the backstop.  Raises
-    :class:`SoundnessError` if the worker reported one.
-
-    The worker's lifetime appears in the parent trace as a
-    ``runtime.worker`` span tagged ``worker_id``; spans and metric
-    deltas recorded inside the child are relayed back and merged under
-    it (a killed worker simply has no relayed telemetry — the parent
-    span still marks the lane and the loss).
-    """
-    tr = tracer()
-    start = time.perf_counter()
-    frames: list = []
-    status, payload = "crash", ""
-    got_message = False
-    with tr.span("runtime.worker", worker=worker_id) as wspan:
-        trace_ctx = TraceContext(
-            trace_id=tr.trace_id,
-            parent_span=tr.current_span_id(),
-            worker_id=worker_id,
-        )
-        proc, parent_conn = spawn_worker(
-            fn, args, kwargs, memory_mb, trace_ctx=trace_ctx
-        )
-        deadline = None if wall_time is None else time.monotonic() + wall_time
-        try:
-            while True:
-                remaining = (
-                    None if deadline is None
-                    else max(0.0, deadline - time.monotonic())
-                )
-                if not parent_conn.poll(remaining):
-                    status = "timeout"
-                    payload = f"worker exceeded {wall_time:.1f}s wall clock"
-                    break
-                try:
-                    msg = parent_conn.recv()
-                except (EOFError, OSError):
-                    break  # child died before completing the send
-                if (
-                    isinstance(msg, tuple) and len(msg) == 2
-                    and msg[0] == "telemetry"
-                ):
-                    frames.append(msg[1])
-                    continue  # the final status message follows
-                status, payload = msg
-                got_message = True
-                break
-        finally:
-            reap_worker(proc, parent_conn, kill_grace)
-        wspan.set(status=status)
-        anchor = getattr(wspan, "span_id", None)
-        depth = getattr(wspan, "depth", 0)
-        for frame in frames:
-            merge_frame(frame, anchor_span=anchor, anchor_depth=depth)
-    elapsed = time.perf_counter() - start
-    if not got_message and status != "timeout":
-        # hard death without a report: OOM-killer or native abort
-        code = proc.exitcode
-        status = "crash"
-        payload = f"worker died with exit code {code}"
-    if status == "soundness":
-        dump_flight("soundness")
-        raise SoundnessError(payload)
-    if status == "ok":
-        return WorkerReport(status="ok", result=payload, wall_time=elapsed)
-    return WorkerReport(status=status, detail=str(payload), wall_time=elapsed)
-
-
 # -- the isolated CCAC verifier ----------------------------------------------
-
-
-def _verify_task(
-    cfg, precision, candidate, worst_case, time_limit, validate,
-    certify=False, environments=None,
-):
-    """Runs inside the worker: one fresh verifier, one call."""
-    from ..core.verifier import CcacVerifier
-
-    verifier = CcacVerifier(
-        cfg, wce_precision=precision, validate=validate, certify=certify,
-        environments=environments,
-    )
-    deadline = None if time_limit is None else time.perf_counter() + time_limit
-    return verifier.find_counterexample(
-        candidate, worst_case=worst_case, deadline=deadline
-    )
 
 
 class IsolatedVerifier:
     """Drop-in for :class:`repro.core.CcacVerifier` with process isolation.
 
-    Each ``find_counterexample`` call runs in a fresh worker under
-    ``limits``; a killed worker yields ``unknown`` (with ``degraded=True``
-    so the CEGIS loop reports an honest stop reason) after bounded
-    retries with escalated budgets.
+    Each attempt of a ``find_counterexample`` call runs on a fresh
+    single-worker :class:`~repro.service.pool.WorkerPool` under
+    ``limits`` (pool ``retries=0``: this class owns the retry policy); a
+    killed worker yields ``unknown`` (with ``degraded=True`` so the CEGIS
+    loop reports an honest stop reason) after bounded retries with
+    escalated budgets.
     """
 
     #: hard watchdog headroom over the in-child soft deadline
@@ -539,22 +363,20 @@ class IsolatedVerifier:
                     break
                 budget = min(budget, remaining)
             watchdog = budget * self.WATCHDOG_SLACK + limits.kill_grace
-            report = run_isolated(
-                _verify_task,
-                args=(
+            report = self._attempt(
+                attempt,
+                (
                     self.cfg,
                     self.wce_precision,
                     candidate,
                     worst_case,
                     budget,
                     self.validate,
+                    None,
                     self.certify,
                     self.environments,
                 ),
-                wall_time=watchdog,
-                memory_mb=limits.memory_mb,
-                kill_grace=limits.kill_grace,
-                worker_id=f"w{attempt}",
+                watchdog,
             )
             last_report = report
             self.total_time += report.wall_time
@@ -563,9 +385,9 @@ class IsolatedVerifier:
                 # in-child soft-deadline expiry is a plain unknown, not a
                 # kill: return it as-is and let the caller's policy decide
                 return result
-            if report.status == "error":
-                raise WorkerError(report.detail)
-            # killed (timeout / oom / crash): record, notify, retry fresh
+            # killed (timeout / oom / crash): record, notify, retry fresh.
+            # A child exception never gets here: the pool batch raised it
+            # as a WorkerError.
             self.kills += 1
             event = {
                 "kind": "worker_killed",
@@ -620,6 +442,41 @@ class IsolatedVerifier:
             unknown=True,
             degraded=True,
         )
+
+    def _attempt(self, attempt: int, args: tuple, watchdog: float) -> WorkerReport:
+        """One fresh-verifier task on its own single-worker pool.
+
+        The parent-side ``runtime.worker`` span spans the worker's whole
+        life and records the attempt's ``status`` (``ccmatic report``
+        counts kills from it); the relayed child spans nest inside it.
+        """
+        from ..engine.portfolio import _verify_candidate_task
+        from ..service.pool import WorkerPool
+
+        status = "error"  # unless the batch returns or raises soundness
+        start = time.perf_counter()
+        with tracer().span("runtime.worker", worker="p0", attempt=attempt) as span:
+            try:
+                with WorkerPool(
+                    size=1,
+                    memory_mb=self.limits.memory_mb,
+                    kill_grace=self.limits.kill_grace,
+                    retries=0,
+                ) as pool:
+                    outcome = pool.run_batch(
+                        [(_verify_candidate_task, args)],
+                        accept=lambda _r: False,
+                        wall_time=watchdog,
+                    )
+                report = outcome.reports[0]
+                report.wall_time = time.perf_counter() - start
+                status = report.status
+            except SoundnessError:
+                status = "soundness"
+                raise
+            finally:
+                span.set(status=status)
+        return report
 
     def verify(self, candidate) -> bool:
         """Convenience wrapper mirroring :meth:`CcacVerifier.verify`."""

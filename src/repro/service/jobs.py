@@ -411,8 +411,8 @@ def execute_job(
     This is the single execution path: the CLI calls it in-process, the
     HTTP server calls it per queued job.  The keyword arguments are
     *executor policy*, not part of the spec: ``pool`` (a
-    :class:`~repro.service.pool.WorkerPool`) makes portfolio rounds use
-    persistent workers; ``cache_dir`` overrides the spec's cache
+    :class:`~repro.service.pool.WorkerPool`) runs portfolio rounds on
+    the executor's shared workers instead of a pool per run; ``cache_dir`` overrides the spec's cache
     directory with the executor's shared store; ``checkpoint_path``
     gives synthesis jobs crash-safe state under the executor's state
     dir; ``corpus_dir``/``write_corpus`` let a *local* falsify run

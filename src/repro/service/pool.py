@@ -1,20 +1,22 @@
-"""Persistent worker pool: fork once, serve many verification batches.
+"""Persistent worker pool: the one fan-out layer for worker processes.
 
-`run_portfolio` forks a fresh worker per candidate per batch.  The fork
-itself is cheap on Linux, but everything a fresh child must rebuild is
-not: the intern table is re-primed per task, every verifier re-encodes
-the base CCAC network, and every solver starts with an empty learned
-clause store.  A :class:`WorkerPool` keeps ``size`` long-lived workers
+Every worker process under ``src/`` belongs to a :class:`WorkerPool`:
+local ``--jobs`` portfolio rounds (a pool per run), ``--isolate``
+verifier attempts (a single-worker pool per attempt), falsification
+grid chunks (a pool per grid) and the job service (one shared pool).
+A pool keeps ``size`` long-lived workers
 (:func:`repro.runtime.workers.spawn_pool_worker`) that boot once, run an
 optional *prime* call (warm the intern table, import the heavy modules),
 and then serve ``("task", ...)`` messages over their duplex pipes — so
 per-candidate state like an incremental verifier session survives from
 one batch to the next.
 
-The pool mirrors :func:`repro.engine.portfolio.run_portfolio` semantics
-batch-for-batch (same :class:`PortfolioOutcome`, same first-accepted
-winner, same ``SoundnessError``/``WorkerError`` discipline), with three
-pool-specific behaviours layered on top:
+:meth:`WorkerPool.run_batch` races a batch: the first accepted result
+wins and the rest are cancelled (``accept=lambda r: False`` waits for
+every task instead).  A :class:`SoundnessError` from any worker aborts
+the batch, an all-error batch raises :class:`WorkerError`, and a batch
+``wall_time`` reports every unfinished task as ``timeout``.  On top of
+that:
 
 * **keep vs respawn** — a worker that dies mid-task (OOM-killed,
   SIGKILLed by an operator, crashed) is detected by its broken pipe,
@@ -49,9 +51,13 @@ the SIGUSR1 treatment and the batch raises
 :class:`~repro.service.resilience.JobCancelled` with the scope's
 reason.
 
+Chaos experiments reach every worker: each task carries the parent's
+fault injector as armed at dispatch, so a lane spawned during a fault
+storm stops failing once the parent disarms.
+
 Soundness note (see DESIGN "The control plane"): pooled tasks
-deliberately skip the per-task ``interned_scope`` reset that one-shot
-workers use, because warm state *is* the speedup.  A task that is
+deliberately run without a per-task ``interned_scope`` reset, because
+warm state *is* the speedup.  A task that is
 cancelled or errors clears its process-global verifier cache before the
 worker serves the next task, so a half-popped solver session is never
 reused — and the independent model validator still checks every verdict
@@ -68,6 +74,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
+from ..chaos.faults import current_injector
 from ..engine.portfolio import PortfolioOutcome
 from ..obs import DEBUG, metrics, tracer
 from ..obs.flight import dump_flight
@@ -276,8 +283,7 @@ class WorkerPool:
         cancel: Optional[CancelScope] = None,
     ) -> PortfolioOutcome:
         """Run ``tasks`` (``(fn, args)`` / ``(fn, args, kwargs)``) across
-        the pool; first accepted result wins, mirroring
-        :func:`~repro.engine.portfolio.run_portfolio`.
+        the pool; first accepted result wins.
 
         Pass ``accept=lambda r: False`` to wait for *every* task (no
         winner, all results in ``outcome.reports``).  Raises
@@ -493,7 +499,9 @@ class WorkerPool:
             kwargs = task[2] if len(task) > 2 else None
             token = make_token(idx)
             try:
-                lane.conn.send(("task", token, fn, args, kwargs))
+                lane.conn.send(
+                    ("task", token, fn, args, kwargs, current_injector())
+                )
             except (OSError, ValueError, BrokenPipeError):
                 # died between the liveness check and the send; retry the
                 # task on a fresh worker next dispatch round

@@ -1,32 +1,19 @@
-"""Portfolio races: first conclusive verdict wins, losers die, no zombies."""
+"""Portfolio verification: first conclusive verdict wins, no zombies.
+
+The race mechanics (winners, cancellation, timeouts) belong to the pool
+and are tested in ``tests/service/test_pool.py``; the telemetry merge of
+a first-accept race is checked here.
+"""
 
 import multiprocessing
 import time
 
 import pytest
 
-from repro.engine import PortfolioOutcome, PortfolioVerifier, run_portfolio
-from repro.runtime.errors import SoundnessError, WorkerError
+from repro.engine import PortfolioVerifier
+from repro.service import WorkerPool
 
 pytestmark = [pytest.mark.engine, pytest.mark.runtime]
-
-
-# top-level so they are picklable by the fork start method
-def _fast(value):
-    return value
-
-
-def _slow(value, delay=30.0):
-    time.sleep(delay)
-    return value
-
-
-def _boom():
-    raise RuntimeError("worker exploded")
-
-
-def _soundness():
-    raise SoundnessError("fabricated model")
 
 
 def _no_zombies():
@@ -38,57 +25,6 @@ def _no_zombies():
     return False
 
 
-def test_fast_task_beats_sleepers():
-    """The race returns as soon as one worker is conclusive; the sleepers
-    are cancelled rather than awaited (30s sleeps, sub-30s wall)."""
-    start = time.perf_counter()
-    outcome = run_portfolio(
-        [(_slow, ("a",)), (_fast, ("b",)), (_slow, ("c",))],
-        wall_time=25.0,
-    )
-    wall = time.perf_counter() - start
-    assert outcome.winner == 1
-    assert outcome.result == "b"
-    assert outcome.cancelled == [0, 2]
-    assert wall < 20.0
-    assert _no_zombies()
-
-
-def test_accept_filters_results():
-    """A result the acceptor rejects does not win the race."""
-    outcome = run_portfolio(
-        [(_fast, ("reject",)), (_fast, ("take",))],
-        accept=lambda r: r == "take",
-        wall_time=25.0,
-    )
-    assert outcome.result == "take"
-    assert _no_zombies()
-
-
-def test_all_errors_raises_worker_error():
-    with pytest.raises(WorkerError):
-        run_portfolio([(_boom, ()), (_boom, ())], wall_time=25.0)
-    assert _no_zombies()
-
-
-def test_soundness_error_propagates():
-    """Soundness is never racy: a SoundnessError in any worker aborts
-    the whole round even if another worker would have won."""
-    with pytest.raises(SoundnessError):
-        run_portfolio(
-            [(_soundness, ()), (_slow, ("x",))],
-            wall_time=25.0,
-        )
-    assert _no_zombies()
-
-
-def test_race_timeout_reports_all_workers():
-    outcome = run_portfolio([(_slow, ("a", 30.0))], wall_time=1.0)
-    assert outcome.winner is None
-    assert outcome.reports[0].status == "timeout"
-    assert _no_zombies()
-
-
 def _traced(value):
     from repro.obs import metrics, tracer
 
@@ -98,8 +34,9 @@ def _traced(value):
 
 
 def test_race_merges_worker_telemetry():
-    """Every finishing worker's spans come back tagged with its lane and
-    anchored under the race span — winner and losers alike."""
+    """The winning worker's spans come back tagged with its lane and
+    anchored under the race's batch span, even though the loser is
+    cancelled."""
     from repro.obs import Sink, metrics, tracer
 
     class Rec(Sink):
@@ -113,24 +50,25 @@ def test_race_merges_worker_telemetry():
     sink = tr.add_sink(Rec())
     before = metrics().counter("test.portfolio.relay").value
     try:
-        outcome = run_portfolio(
-            [(_traced, ("a",)), (_traced, ("b",))], wall_time=25.0
-        )
+        with WorkerPool(size=2) as pool:
+            outcome = pool.run_batch(
+                [(_traced, ("a",)), (_traced, ("b",))], wall_time=25.0
+            )
     finally:
         tr.remove_sink(sink)
     assert outcome.winner is not None
+    assert outcome.result == ("a", "b")[outcome.winner]
     # the winner's frame always merges; a loser that finished before the
     # cancel may add its own
     assert metrics().counter("test.portfolio.relay").value > before
-    race = [r for r in sink.records
-            if r.get("type") == "span" and r["name"] == "engine.portfolio.race"]
+    spans = [r for r in sink.records if r.get("type") == "span"]
+    race = [r for r in spans if r["name"] == "service.pool.batch"]
     assert len(race) == 1 and race[0]["attrs"]["relayed"] >= 1
-    winner_tag = f"w{outcome.winner}"
-    runs = [r for r in sink.records
-            if r.get("type") == "span" and r["name"] == "worker.run"
-            and r["attrs"].get("worker") == winner_tag]
-    assert len(runs) == 1
-    assert runs[0]["parent"] == race[0]["id"]
+    runs = [r for r in spans if r["name"] == "worker.run"]
+    assert runs and all(r["parent"] == race[0]["id"] for r in runs)
+    assert all(r["attrs"]["worker"] in ("p0", "p1") for r in runs)
+    solves = [r for r in spans if r["name"] == "child.solve"]
+    assert {s["parent"] for s in solves} <= {r["id"] for r in runs}
     assert _no_zombies()
 
 
@@ -141,8 +79,9 @@ def test_verifier_batch_verdicts_match_sequential(fast_cfg):
     from repro.core.verifier import CcacVerifier
 
     candidates = [constant_cwnd(1, 3), rocc(3)]
-    portfolio = PortfolioVerifier(fast_cfg, jobs=2)
-    verdict = portfolio.verify_batch(candidates)
+    with WorkerPool(size=2) as pool:
+        portfolio = PortfolioVerifier(fast_cfg, jobs=2, pool=pool)
+        verdict = portfolio.verify_batch(candidates)
     assert verdict.winner is not None
     assert verdict.launched == 2
 
@@ -159,15 +98,18 @@ def test_verifier_batch_verdicts_match_sequential(fast_cfg):
 def test_single_candidate_path(fast_cfg):
     from repro.core import rocc
 
-    portfolio = PortfolioVerifier(fast_cfg, jobs=2)
-    result = portfolio.find_counterexample(rocc(3))
+    with WorkerPool(size=2) as pool:
+        portfolio = PortfolioVerifier(fast_cfg, jobs=2, pool=pool)
+        result = portfolio.find_counterexample(rocc(3))
     assert result.verified
     assert _no_zombies()
 
 
 def test_jobs_validation(fast_cfg):
     with pytest.raises(ValueError):
-        PortfolioVerifier(fast_cfg, jobs=0)
+        PortfolioVerifier(fast_cfg, jobs=0, pool=WorkerPool(size=1))
+    with pytest.raises(ValueError, match="pool"):
+        PortfolioVerifier(fast_cfg, jobs=2)
 
 
 def test_environment_grid_requires_every_cell_unsat(fast_cfg):
@@ -178,16 +120,21 @@ def test_environment_grid_requires_every_cell_unsat(fast_cfg):
     from repro.core import rocc
 
     envs = [lossless_environment(), lossy_environment(buffer=8)]
-    portfolio = PortfolioVerifier(fast_cfg, jobs=2, environments=envs)
-    verdict = portfolio.verify_batch([rocc(3)])
-    assert verdict.winner == 0
-    assert verdict.result.verified
-    assert verdict.result.counterexample is None
-    assert _no_zombies()
-
     tiny = [lossless_environment(), lossy_environment(buffer=1)]
-    portfolio = PortfolioVerifier(fast_cfg, jobs=2, environments=tiny)
-    verdict = portfolio.verify_batch([rocc(3)])
+    with WorkerPool(size=2) as pool:
+        portfolio = PortfolioVerifier(
+            fast_cfg, jobs=2, environments=envs, pool=pool
+        )
+        verdict = portfolio.verify_batch([rocc(3)])
+        assert verdict.winner == 0
+        assert verdict.result.verified
+        assert verdict.result.counterexample is None
+
+        portfolio = PortfolioVerifier(
+            fast_cfg, jobs=2, environments=tiny, pool=pool
+        )
+        verdict = portfolio.verify_batch([rocc(3)])
+    assert _no_zombies()
     assert verdict.winner == 0
     assert not verdict.result.verified
     cex = verdict.result.counterexample

@@ -12,6 +12,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -21,6 +22,11 @@ from repro.core.synthesizer import make_generator
 from repro.runtime import IsolatedVerifier, RuntimeOptions, WorkerLimits, run_synthesis
 
 pytestmark = pytest.mark.runtime
+
+
+def _hang(*args):
+    """Stands in for the verifier task (module level: pool tasks pickle)."""
+    time.sleep(3600)
 
 # the tiny query, spelled out so the child script builds the exact same one
 _QUERY_SRC = """
@@ -125,13 +131,9 @@ class TestKilledWorkerStillTerminates:
         """Acceptance: a verifier worker that is killed mid-call yields
         unknown, emits runtime.degrade, and the CEGIS run still
         terminates with an explicit verdict."""
-        import time as time_mod
+        import repro.engine.portfolio as portfolio_mod
 
-        import repro.runtime.workers as workers_mod
-
-        monkeypatch.setattr(
-            workers_mod, "_verify_task", lambda *a: time_mod.sleep(3600)
-        )
+        monkeypatch.setattr(portfolio_mod, "_verify_candidate_task", _hang)
         monkeypatch.setattr(IsolatedVerifier, "WATCHDOG_SLACK", 1.0)
         verifier = IsolatedVerifier(
             tiny_query.cfg,

@@ -1,4 +1,7 @@
-"""Isolated solver workers: watchdog kills, memory caps, retry policy.
+"""Isolated verifier: watchdog kills, retry policy, flight recorder.
+
+The pool mechanics underneath (wall-clock kills, memory caps, error
+reports, telemetry relay) are tested in ``tests/service/test_pool.py``.
 
 Marked ``runtime``: each test forks real processes, so the module is
 slower than the rest of the suite (`-m "not runtime"` skips it).
@@ -16,21 +19,15 @@ from repro.runtime import (
     SoundnessError,
     WorkerError,
     WorkerLimits,
-    run_isolated,
 )
 
 pytestmark = pytest.mark.runtime
 
 
-# accept arbitrary args so these can also stand in for _verify_task
+# accept arbitrary args so these can stand in for _verify_candidate_task
 def _sleep_forever(*args):
     time.sleep(3600)
     return "never"
-
-
-def _allocate(mb: int) -> int:
-    block = bytearray(mb * 1024 * 1024)
-    return len(block)
 
 
 def _raise_soundness(*args):
@@ -41,41 +38,12 @@ def _raise_value_error(*args):
     raise ValueError("deterministic bug")
 
 
-def _return_value():
-    return {"answer": 42}
-
-
-def _traced_task():
+def _traced_task(*args):
     from repro.obs import metrics, tracer
 
     with tracer().span("child.solve"):
         metrics().counter("test.relay.checks").inc(5)
     return "traced"
-
-
-class TestRunIsolated:
-    def test_ok_result_round_trips(self):
-        report = run_isolated(_return_value, wall_time=30)
-        assert report.ok
-        assert report.result == {"answer": 42}
-
-    def test_hung_worker_killed_on_wall_clock(self):
-        report = run_isolated(_sleep_forever, wall_time=0.3, kill_grace=0.5)
-        assert report.status == "timeout"
-        assert report.wall_time < 10
-
-    def test_memory_hog_reported_as_oom(self):
-        report = run_isolated(_allocate, args=(512,), wall_time=60, memory_mb=64)
-        assert report.status == "oom"
-
-    def test_soundness_error_propagates_verbatim(self):
-        with pytest.raises(SoundnessError, match="injected"):
-            run_isolated(_raise_soundness, wall_time=30)
-
-    def test_child_exception_reported_not_raised(self):
-        report = run_isolated(_raise_value_error, wall_time=30)
-        assert report.status == "error"
-        assert "ValueError" in report.detail
 
 
 class TestWorkerLimits:
@@ -101,9 +69,11 @@ class TestIsolatedVerifier:
         """A worker that never returns is killed, retried, and finally
         reported as an honest (degraded) unknown with runtime.degrade
         events — never a crash, never a verdict."""
-        import repro.runtime.workers as workers_mod
+        import repro.engine.portfolio as portfolio_mod
 
-        monkeypatch.setattr(workers_mod, "_verify_task", _sleep_forever)
+        monkeypatch.setattr(
+            portfolio_mod, "_verify_candidate_task", _sleep_forever
+        )
         cfg = ModelConfig(T=5)
         iv = IsolatedVerifier(
             cfg,
@@ -122,56 +92,78 @@ class TestIsolatedVerifier:
         assert all(e["attrs"]["kind"] == "worker_killed" for e in events)
 
     def test_deterministic_child_error_raises_worker_error(self, monkeypatch):
-        import repro.runtime.workers as workers_mod
+        import repro.engine.portfolio as portfolio_mod
 
-        monkeypatch.setattr(workers_mod, "_verify_task", _raise_value_error)
+        monkeypatch.setattr(
+            portfolio_mod, "_verify_candidate_task", _raise_value_error
+        )
         iv = IsolatedVerifier(ModelConfig(T=5))
         with pytest.raises(WorkerError, match="ValueError"):
             iv.find_counterexample(rocc())
 
     def test_soundness_error_in_worker_propagates(self, monkeypatch):
-        import repro.runtime.workers as workers_mod
+        import repro.engine.portfolio as portfolio_mod
 
-        monkeypatch.setattr(workers_mod, "_verify_task", _raise_soundness)
+        monkeypatch.setattr(
+            portfolio_mod, "_verify_candidate_task", _raise_soundness
+        )
         iv = IsolatedVerifier(ModelConfig(T=5))
         with pytest.raises(SoundnessError):
             iv.find_counterexample(rocc())
 
 
 class TestTelemetryRelay:
-    """Real-fork relay: child spans and metric deltas reach the parent."""
+    """Parent-side lane spans of isolated attempts reach the trace."""
 
-    def test_child_spans_relayed_with_worker_tag(self, recording_sink):
+    def test_child_spans_relayed_with_worker_tag(
+        self, recording_sink, monkeypatch
+    ):
+        """An isolated attempt's child spans and metric deltas reach the
+        parent, tagged with the attempt's lane and nested inside its
+        parent-side ``runtime.worker`` span."""
+        import repro.engine.portfolio as portfolio_mod
         from repro.obs import metrics
 
+        monkeypatch.setattr(
+            portfolio_mod, "_verify_candidate_task", _traced_task
+        )
         before = metrics().counter("test.relay.checks").value
-        report = run_isolated(_traced_task, wall_time=30, worker_id="w7")
-        assert report.status == "ok" and report.result == "traced"
+        iv = IsolatedVerifier(
+            ModelConfig(T=5), limits=WorkerLimits(wall_time=30, retries=0)
+        )
+        assert iv.find_counterexample(rocc()) == "traced"
+        assert iv.kills == 0
         # the child's counter delta merged into the parent registry
         assert metrics().counter("test.relay.checks").value == before + 5
         spans = {
             r["name"]: r for r in recording_sink.records
             if r.get("type") == "span"
-            and r.get("attrs", {}).get("worker") == "w7"
         }
-        # parent-side lane span plus the relayed child spans
-        assert {"runtime.worker", "worker.run", "child.solve"} <= set(spans)
+        # parent-side lane span, the pool batch, and the relayed child spans
+        assert {"runtime.worker", "service.pool.batch", "worker.run",
+                "child.solve"} <= set(spans)
         lane = spans["runtime.worker"]
+        assert lane["attrs"]["worker"] == "p0"
         assert lane["attrs"]["status"] == "ok"
-        assert spans["worker.run"]["parent"] == lane["id"]
-        assert spans["child.solve"]["parent"] == spans["worker.run"]["id"]
+        assert spans["service.pool.batch"]["parent"] == lane["id"]
+        run = spans["worker.run"]
+        assert run["attrs"]["worker"] == "p0"
+        assert run["parent"] == spans["service.pool.batch"]["id"]
+        assert spans["child.solve"]["parent"] == run["id"]
 
     def test_killed_worker_dumps_flight_recorder(
         self, recording_sink, monkeypatch, tmp_path
     ):
         """Exhausting retries on a hung worker leaves a parseable black
         box (the worker-escalation dump)."""
+        import repro.engine.portfolio as portfolio_mod
         import repro.obs.flight as flight
-        import repro.runtime.workers as workers_mod
         from repro.obs import tracer
         from repro.obs.report import load_trace
 
-        monkeypatch.setattr(workers_mod, "_verify_task", _sleep_forever)
+        monkeypatch.setattr(
+            portfolio_mod, "_verify_candidate_task", _sleep_forever
+        )
         monkeypatch.setattr(IsolatedVerifier, "WATCHDOG_SLACK", 1.0)
         saved = flight._RECORDER, flight._DUMP_DIR
         flight._RECORDER, flight._DUMP_DIR = None, None

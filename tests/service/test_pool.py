@@ -36,6 +36,33 @@ def _pid():
     return os.getpid()
 
 
+def _fast(value):
+    return value
+
+
+def _raise_value_error():
+    raise ValueError("deterministic bug")
+
+
+def _ignore_cancel_and_hang():
+    """A wedged task: deaf to the cooperative SIGUSR1 cancel."""
+    signal.signal(signal.SIGUSR1, signal.SIG_IGN)
+    time.sleep(3600)
+
+
+def _allocate(mb: int) -> int:
+    block = bytearray(mb * 1024 * 1024)
+    return len(block)
+
+
+def _traced(value):
+    from repro.obs import metrics, tracer
+
+    with tracer().span("child.solve"):
+        metrics().counter("test.pool.relay").inc(5)
+    return value
+
+
 def _no_zombies():
     deadline = time.time() + 5.0
     while time.time() < deadline:
@@ -202,4 +229,144 @@ def test_prime_runs_on_spawn_and_respawn():
     with WorkerPool(size=1, prime=(_pid, (), {})) as pool:
         events.append(pool.run_batch([(_add, (1, 1))]).result)
     assert events == [2]
+    assert _no_zombies()
+
+
+def test_fast_task_beats_sleepers():
+    """The batch returns as soon as one task is accepted; the sleepers
+    are cancelled rather than awaited (30s sleeps, sub-20s wall)."""
+    start = time.perf_counter()
+    with WorkerPool(size=3) as pool:
+        outcome = pool.run_batch(
+            [(_slow_add, (1, 2)), (_fast, ("b",)), (_slow_add, (3, 4))],
+            wall_time=25.0,
+        )
+    assert outcome.winner == 1
+    assert outcome.result == "b"
+    assert outcome.cancelled == [0, 2]
+    assert time.perf_counter() - start < 20.0
+    assert _no_zombies()
+
+
+def test_accept_filters_results():
+    """A result the acceptor rejects does not win the batch."""
+    with WorkerPool(size=2) as pool:
+        outcome = pool.run_batch(
+            [(_fast, ("reject",)), (_fast, ("take",))],
+            accept=lambda r: r == "take",
+            wall_time=25.0,
+        )
+    assert outcome.winner == 1
+    assert outcome.result == "take"
+    assert _no_zombies()
+
+
+def test_child_exception_reported_not_raised():
+    with WorkerPool(size=2) as pool:
+        outcome = pool.run_batch(
+            [(_raise_value_error, ()), (_add, (2, 3))],
+            accept=lambda _r: False,
+        )
+    assert outcome.reports[0].status == "error"
+    assert "ValueError" in outcome.reports[0].detail
+    assert outcome.reports[1].result == 5
+    assert _no_zombies()
+
+
+def test_batch_timeout_reports_every_task():
+    """In-flight and still-queued tasks alike report ``timeout``."""
+    with WorkerPool(size=2, kill_grace=2.0) as pool:
+        outcome = pool.run_batch(
+            [(_slow_add, (1, 2)), (_slow_add, (3, 4)), (_slow_add, (5, 6))],
+            wall_time=1.0,
+        )
+    assert outcome.winner is None
+    assert {i: r.status for i, r in outcome.reports.items()} == {
+        0: "timeout", 1: "timeout", 2: "timeout",
+    }
+    assert _no_zombies()
+
+
+def test_hung_task_killed_at_wall_time_and_lane_respawned():
+    """A task deaf to SIGUSR1 is killed once ``kill_grace`` runs out,
+    reported as ``timeout``, and its lane comes back fresh."""
+    start = time.perf_counter()
+    with WorkerPool(size=1, kill_grace=0.5) as pool:
+        outcome = pool.run_batch(
+            [(_ignore_cancel_and_hang, ())],
+            accept=lambda _r: False,
+            wall_time=0.3,
+        )
+        assert outcome.reports[0].status == "timeout"
+        assert time.perf_counter() - start < 10.0
+        assert pool.stats.respawns == 1
+        assert pool.run_batch([(_add, (1, 1))]).result == 2
+    assert _no_zombies()
+
+
+def test_memory_hog_reported_as_oom():
+    with WorkerPool(size=1, memory_mb=64) as pool:
+        outcome = pool.run_batch(
+            [(_allocate, (512,))], accept=lambda _r: False, wall_time=60.0
+        )
+    assert outcome.reports[0].status == "oom"
+    assert _no_zombies()
+
+
+@pytest.mark.chaos
+def test_chaos_disarm_reaches_lanes_spawned_while_armed():
+    """An injected OOM retires the lane and its successor is spawned
+    while chaos is armed; once the parent disarms, that same lane must
+    serve cleanly (the injector travels with each task, not the fork)."""
+    from repro.chaos import ChaosConfig, FaultSpec, install, uninstall
+
+    with WorkerPool(size=1) as pool:
+        install(ChaosConfig(seed=1, specs=(FaultSpec("worker.child", "oom"),)))
+        try:
+            armed = pool.run_batch([(_add, (1, 2))], accept=lambda _r: False)
+        finally:
+            uninstall()
+        calm = pool.run_batch([(_add, (1, 2))], accept=lambda _r: False)
+        assert pool.stats.respawns == 1
+    assert armed.reports[0].status == "oom"
+    assert calm.reports[0].status == "ok"
+    assert calm.reports[0].result == 3
+    assert _no_zombies()
+
+
+def test_relayed_spans_carry_lane_tag():
+    """Every task's spans and metric deltas come back tagged with its
+    lane and anchored under the batch span."""
+    from repro.obs import Sink, metrics, tracer
+
+    class Rec(Sink):
+        def __init__(self):
+            self.records = []
+
+        def emit(self, record):
+            self.records.append(record)
+
+    tr = tracer()
+    sink = tr.add_sink(Rec())
+    before = metrics().counter("test.pool.relay").value
+    try:
+        with WorkerPool(size=2) as pool:
+            outcome = pool.run_batch(
+                [(_traced, ("a",)), (_traced, ("b",))],
+                accept=lambda _r: False,
+            )
+    finally:
+        tr.remove_sink(sink)
+    assert [outcome.reports[i].result for i in (0, 1)] == ["a", "b"]
+    assert metrics().counter("test.pool.relay").value == before + 10
+    spans = [r for r in sink.records if r.get("type") == "span"]
+    batch = [r for r in spans if r["name"] == "service.pool.batch"]
+    assert len(batch) == 1 and batch[0]["attrs"]["relayed"] == 2
+    runs = [r for r in spans if r["name"] == "worker.run"]
+    assert sorted(r["attrs"]["worker"] for r in runs) == ["p0", "p1"]
+    assert all(r["parent"] == batch[0]["id"] for r in runs)
+    solves = {r["attrs"]["worker"]: r for r in spans
+              if r["name"] == "child.solve"}
+    for run in runs:
+        assert solves[run["attrs"]["worker"]]["parent"] == run["id"]
     assert _no_zombies()
