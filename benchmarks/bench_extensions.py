@@ -9,11 +9,12 @@ from fractions import Fraction
 
 import pytest
 
-from repro.ccac import StarvationVerifier
+from repro.ccac import lossy_environment, multiflow_environment
 from repro.core import (
-    ConditionalVerifier,
+    CcacVerifier,
     aimd_candidate,
     constant_cwnd,
+    minimum_buffer,
     rocc,
     rocc_conditional,
     total_waste_budget,
@@ -24,7 +25,7 @@ from _bench_utils import BENCH_H
 
 
 def test_conditional_aimd_refuted(benchmark, bench_cfg):
-    verifier = ConditionalVerifier(bench_cfg)
+    verifier = CcacVerifier(bench_cfg)
 
     def run():
         return verifier.find_counterexample(aimd_candidate())
@@ -35,7 +36,7 @@ def test_conditional_aimd_refuted(benchmark, bench_cfg):
 
 
 def test_conditional_rocc_verified(benchmark, bench_cfg):
-    verifier = ConditionalVerifier(bench_cfg)
+    verifier = CcacVerifier(bench_cfg)
 
     def run():
         return verifier.verify(rocc_conditional())
@@ -48,18 +49,19 @@ def test_conditional_rocc_verified(benchmark, bench_cfg):
     (Fraction(1, 2), True),
 ])
 def test_starvation_vs_scheduler_share(benchmark, bench_cfg, share, expect_verified):
-    verifier = StarvationVerifier(bench_cfg, min_share=share)
+    env = multiflow_environment(min_share=share, phi=Fraction(1, 4))
+    verifier = CcacVerifier(bench_cfg, environments=[env])
     cand = rocc(BENCH_H)
 
     def run():
-        return verifier.find_starvation(cand, phi=Fraction(1, 4))
+        return verifier.find_counterexample(cand)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     print(f"min_share={share}: starvation-free={result.verified}")
     assert result.verified == expect_verified
 
 
-def test_verifier_tuning_panel(benchmark, bench_cfg):
+def test_tune_verifier_panel(benchmark, bench_cfg):
     template = total_waste_budget(bench_cfg)
     panel = [rocc(BENCH_H), constant_cwnd(1, BENCH_H)]
 
@@ -73,7 +75,6 @@ def test_verifier_tuning_panel(benchmark, bench_cfg):
 
 def test_lossy_buffer_sizing(benchmark, bench_cfg):
     """Finite-buffer extension: formally size the buffer RoCC needs."""
-    from repro.ccac import minimum_buffer
 
     def run():
         return minimum_buffer(rocc(BENCH_H), bench_cfg)
@@ -85,14 +86,13 @@ def test_lossy_buffer_sizing(benchmark, bench_cfg):
 
 def test_lossy_verdicts(benchmark, bench_cfg):
     """RoCC fails under-provisioned buffers and survives adequate ones."""
-    from fractions import Fraction as F
 
-    from repro.ccac import LossyVerifier
+    def lossy_verifies(buffer):
+        env = lossy_environment(Fraction(buffer))
+        return CcacVerifier(bench_cfg, environments=[env]).verify(rocc(BENCH_H))
 
     def run():
-        small = LossyVerifier(bench_cfg, F(1)).verify(rocc(BENCH_H))
-        large = LossyVerifier(bench_cfg, F(8)).verify(rocc(BENCH_H))
-        return small, large
+        return lossy_verifies(1), lossy_verifies(8)
 
     small, large = benchmark.pedantic(run, rounds=1, iterations=1)
     assert not small and large

@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from repro.ccac import ModelConfig
 from repro.core import (
+    CcacVerifier,
     ConditionalSpec,
-    ConditionalVerifier,
     aimd_candidate,
     rocc_conditional,
     synthesize_conditional,
@@ -29,7 +29,7 @@ from repro.core import (
 
 def main() -> None:
     cfg = ModelConfig(T=5, history=3)
-    verifier = ConditionalVerifier(cfg)
+    verifier = CcacVerifier(cfg)
 
     aimd = aimd_candidate()
     print(f"AIMD in the conditional template:\n  {aimd.pretty()}")

@@ -28,7 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ..smt import And, Ite, Not, Or, Real, RealVal, Solver, Term, sat, unsat
+from ..smt import (
+    And, Ite, Not, Or, Real, RealVal, Solver, Term, bisect_monotone, sat, unsat,
+)
 
 
 @dataclass(frozen=True)
@@ -215,14 +217,8 @@ def synthesize_threshold(
     theta = more aggressive quality choices).  None when even ``hi``
     stalls on some trace."""
     verifier = AbrVerifier(cfg)
-    if not verifier.verify(AbrPolicy(hi), min_high_chunks):
-        return None
-    if verifier.verify(AbrPolicy(lo), min_high_chunks):
-        return AbrPolicy(lo)
-    while hi - lo > precision:
-        mid = (lo + hi) / 2
-        if verifier.verify(AbrPolicy(mid), min_high_chunks):
-            hi = mid
-        else:
-            lo = mid
-    return AbrPolicy(hi)
+    theta = bisect_monotone(
+        lambda t: verifier.verify(AbrPolicy(t), min_high_chunks),
+        lo, hi, precision, largest=False,
+    )
+    return None if theta is None else AbrPolicy(theta)

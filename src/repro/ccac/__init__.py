@@ -15,13 +15,8 @@ from .properties import (
     high_utilization,
     negated_desired,
 )
-from .lossy import LossyCcacModel, LossyCexTrace, LossyVerifier, minimum_buffer
-from .multiflow import (
-    StarvationResult,
-    StarvationVerifier,
-    TwoFlowCexTrace,
-    TwoFlowModel,
-)
+from .lossy import LossyCcacModel, LossyCexTrace
+from .multiflow import TwoFlowCexTrace, TwoFlowModel
 from .trace import CexTrace, RangeBound
 from .environments import (
     ENVIRONMENT_VERSION,
@@ -45,10 +40,7 @@ __all__ = [
     "ModelConfig",
     "LossyCcacModel",
     "LossyCexTrace",
-    "LossyVerifier",
     "RangeBound",
-    "StarvationResult",
-    "StarvationVerifier",
     "TwoFlowCexTrace",
     "TwoFlowModel",
     "default_environments",
@@ -65,6 +57,5 @@ __all__ = [
     "cwnd_increases",
     "desired_property",
     "high_utilization",
-    "minimum_buffer",
     "negated_desired",
 ]

@@ -10,7 +10,7 @@ that knows how to
 * build the environment's SMT model for a :class:`~repro.ccac.config.ModelConfig`,
 * state the environment's desired property (and its negation),
 * assert a candidate's template constraints against the model,
-* extract and independently re-validate counterexample traces,
+* extract counterexample traces (re-checked by :mod:`repro.runtime.validate`),
 * replay a counterexample numerically for *sound* generator pruning.
 
 Registered kinds:
@@ -204,9 +204,11 @@ class _Lossy(_Kind):
         # Exact replay regardless of the requested pruning mode (see the
         # module docstring's soundness argument); RANGE intervals are a
         # lossless-only construction.
+        from ..core.generator_enum import simulate_on_trace
+
         cfg = trace.cfg
         T = cfg.T
-        cwnd = _replay_cwnd(candidate, trace, cfg)
+        cwnd, _ = simulate_on_trace(candidate, trace, cfg)
         feasible = (
             not trace.S_pre or trace.A[0] <= trace.S_pre[0] + cwnd[0]
         )
@@ -264,19 +266,18 @@ class _Multiflow(_Kind):
         return _dc_replace(trace, environment=spec)
 
     def replay_satisfies(self, candidate, trace, pruning) -> bool:
+        from ..core.generator_enum import simulate_on_trace
+
         cfg = trace.cfg
         T = cfg.T
         replayed = []
         for flow in trace.flows:
-            cwnd = _replay_cwnd(candidate, flow, cfg)
+            # each flow is a lossless-shaped trace: the lossless send
+            # recurrence replays it exactly
+            cwnd, A = simulate_on_trace(candidate, flow, cfg)
             feasible = (
                 not flow.S_pre or flow.A[0] <= flow.S_pre[0] + cwnd[0]
-            )
-            if feasible:
-                A = [flow.A[0]]
-                for t in range(1, T + 1):
-                    A.append(max(A[t - 1], flow.S[t - 1] + cwnd[t]))
-                feasible = all(A[t] == flow.A[t] for t in range(1, T + 1))
+            ) and tuple(A) == flow.A
             if not feasible:
                 return True
             replayed.append(cwnd)
@@ -286,23 +287,6 @@ class _Multiflow(_Kind):
             if thr < trace.phi * fair and not cwnd[T] > cwnd[0]:
                 return False
         return True
-
-
-def _replay_cwnd(candidate, trace, cfg) -> list[Fraction]:
-    """The candidate's cwnd trajectory on a trace's ack observations
-    (the trace supplies pre-history cwnds; the rule fills ``t >= 0``)."""
-    cwnd: list[Fraction] = []
-    for t in range(cfg.T + 1):
-        total = Fraction(candidate.gamma)
-        for i in range(1, candidate.history + 1):
-            back = t - i
-            if candidate.alphas[i - 1] != 0:
-                hist = cwnd[back] if back >= 0 else trace.cwnd_at(back)
-                total += candidate.alphas[i - 1] * hist
-            if candidate.betas[i - 1] != 0:
-                total += candidate.betas[i - 1] * trace.ack_at(back)
-        cwnd.append(max(total, cfg.cwnd_min))
-    return cwnd
 
 
 _REGISTRY: dict[str, _Kind] = {
@@ -431,14 +415,6 @@ class EnvironmentSpec:
         """Build this environment's counterexample trace from a SAT
         model, tagged with this spec as its origin."""
         return self._impl.extract_trace(self, model, net)
-
-    def validate_counterexample(self, trace, candidate=None,
-                                must_violate: bool = True) -> None:
-        from ..runtime.validate import validate_counterexample
-
-        validate_counterexample(
-            trace, candidate=candidate, must_violate=must_violate
-        )
 
     def replay_satisfies(self, candidate, trace, pruning) -> bool:
         """Numeric ``feasible => desired`` replay for generator pruning

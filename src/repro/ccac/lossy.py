@@ -31,18 +31,17 @@ which lossless-synthesized rules survive a finite buffer?  (RoCC needs
 the buffer to cover its steady queue of ~BDP+increment; below that it
 drops every RTT and fails the loss budget.)
 
-:class:`LossyVerifier` is a compatibility wrapper: verification routes
-through :class:`~repro.core.verifier.CcacVerifier` with a ``lossy``
-:class:`~repro.ccac.environments.EnvironmentSpec`, so lossy queries gain
-independent validation, query caching, incremental sessions, and UNSAT
-certification exactly like the lossless path.
+This module holds the model and its trace only.  Queries run on
+:class:`~repro.core.verifier.CcacVerifier` with a ``lossy``
+environment (``CcacVerifier(cfg, environments=[lossy_environment(b)])``;
+the counterexample's loss counter is ``result.counterexample.L``), and
+:func:`repro.core.queries.minimum_buffer` sizes the buffer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from ..smt import Real, RealVal, Term, encode_max
 from .config import ModelConfig
@@ -176,78 +175,3 @@ class LossyCexTrace(CexTrace):
             super().__str__()
             + f"\nloss L = [{loss}] buffer={float(self.buffer):.3f}"
         )
-
-
-@dataclass
-class LossyVerificationResult:
-    """Outcome of a lossy-model verification."""
-
-    verified: bool
-    counterexample: Optional[LossyCexTrace]
-    loss: Optional[tuple[Fraction, ...]]
-    wall_time: float
-
-
-class LossyVerifier:
-    """Verify a candidate against the finite-buffer model.
-
-    ``loss_thresh`` bounds acceptable cumulative losses over the trace
-    (in C*D units); like the delay leg, it is relaxed by "or the cwnd is
-    already decreasing".  Extra keyword arguments are forwarded to the
-    underlying :class:`~repro.core.verifier.CcacVerifier` (``validate``,
-    ``cache``, ``incremental``, ``certify``, ...).
-    """
-
-    def __init__(
-        self,
-        cfg: ModelConfig,
-        buffer: Fraction,
-        loss_thresh: Fraction = Fraction(1),
-        **verifier_kwargs,
-    ):
-        from ..core.verifier import CcacVerifier
-        from .environments import lossy_environment
-
-        self.cfg = cfg
-        self.buffer = Fraction(buffer)
-        self.loss_thresh = Fraction(loss_thresh)
-        self.environment = lossy_environment(
-            buffer=self.buffer, loss_thresh=self.loss_thresh
-        )
-        self._verifier = CcacVerifier(
-            cfg, environments=[self.environment], **verifier_kwargs
-        )
-
-    def find_counterexample(self, candidate) -> LossyVerificationResult:
-        result = self._verifier.find_counterexample(candidate)
-        trace = result.counterexample
-        loss = trace.L if trace is not None else None
-        return LossyVerificationResult(
-            result.verified, trace, loss, result.wall_time
-        )
-
-    def verify(self, candidate) -> bool:
-        return self.find_counterexample(candidate).verified
-
-
-def minimum_buffer(
-    candidate,
-    cfg: ModelConfig,
-    lo: Fraction = Fraction(1, 4),
-    hi: Fraction = Fraction(16),
-    precision: Fraction = Fraction(1, 4),
-) -> Optional[Fraction]:
-    """Smallest buffer (to ``precision``) at which the candidate still
-    verifies; None if even ``hi`` is insufficient.  Buffer sizing — the
-    classic network-provisioning question — answered formally."""
-    if not LossyVerifier(cfg, hi).verify(candidate):
-        return None
-    if LossyVerifier(cfg, lo).verify(candidate):
-        return lo
-    while hi - lo > precision:
-        mid = (lo + hi) / 2
-        if LossyVerifier(cfg, mid).verify(candidate):
-            hi = mid
-        else:
-            lo = mid
-    return hi

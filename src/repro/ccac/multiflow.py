@@ -22,6 +22,12 @@ test suite sweeps it.
 The starvation property checked is the induction-friendly per-flow form:
 
     for each flow i:  throughput_i >= phi * fair_share  OR  cwnd_i grows
+
+This module holds the model and its trace only.  Starvation queries run
+on :class:`~repro.core.verifier.CcacVerifier` with a ``multiflow``
+environment (``CcacVerifier(cfg, environments=[multiflow_environment(
+min_share=s, phi=p)])``); a counterexample is a :class:`TwoFlowCexTrace`
+whose ``throughputs()`` show the starved flow.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from typing import Optional
 
 from ..smt import And, Not, Or, Real, RealVal, Term, encode_max
 from .config import ModelConfig
-from .model import CcacModel
 from .trace import CexTrace
 
 
@@ -322,56 +327,3 @@ class TwoFlowCexTrace:
             parts.append(f"flow {i}:")
             parts.append(str(flow))
         return "\n".join(parts)
-
-
-@dataclass
-class StarvationResult:
-    """Outcome of one starvation query."""
-
-    verified: bool  # True: no admissible trace starves either flow
-    throughputs: Optional[tuple[Fraction, Fraction]]
-    wall_time: float
-    counterexample: Optional[TwoFlowCexTrace] = None
-
-
-class StarvationVerifier:
-    """Checks whether a candidate CCA can be starved when competing with
-    itself under a given scheduling assumption.
-
-    A compatibility wrapper: the query routes through
-    :class:`~repro.core.verifier.CcacVerifier` with a ``multiflow``
-    :class:`~repro.ccac.environments.EnvironmentSpec`, gaining
-    independent validation, caching, and incremental sessions; extra
-    keyword arguments are forwarded to the underlying verifier.
-    """
-
-    def __init__(
-        self,
-        cfg: ModelConfig,
-        min_share: Fraction = Fraction(0),
-        **verifier_kwargs,
-    ):
-        self.cfg = cfg
-        self.min_share = Fraction(min_share)
-        self._verifier_kwargs = verifier_kwargs
-        self._verifiers: dict[Fraction, object] = {}
-
-    def _verifier_for(self, phi: Fraction):
-        phi = Fraction(phi)
-        if phi not in self._verifiers:
-            from ..core.verifier import CcacVerifier
-            from .environments import multiflow_environment
-
-            env = multiflow_environment(min_share=self.min_share, phi=phi)
-            self._verifiers[phi] = CcacVerifier(
-                self.cfg, environments=[env], **self._verifier_kwargs
-            )
-        return self._verifiers[phi]
-
-    def find_starvation(self, candidate, phi: Fraction) -> StarvationResult:
-        result = self._verifier_for(phi).find_counterexample(candidate)
-        trace = result.counterexample
-        thr = trace.throughputs() if trace is not None else None
-        return StarvationResult(
-            result.verified, thr, result.wall_time, counterexample=trace
-        )

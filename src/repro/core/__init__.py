@@ -7,15 +7,14 @@ The paper's primary contribution.  Public surface:
   the synthesis drivers.
 * :class:`CcacVerifier` — per-candidate verification against CCAC-lite.
 * :mod:`repro.core.solutions` — classification of synthesized rules.
-* :mod:`repro.core.queries` — assumption synthesis and differential
-  comparison.
+* :mod:`repro.core.queries` — assumption synthesis, verifier tuning,
+  buffer sizing and differential comparison.
 """
 
 from .conditional import (
     ConditionalCCA,
     ConditionalGenerator,
     ConditionalSpec,
-    ConditionalVerifier,
     aimd_candidate,
     rocc_conditional,
     synthesize_conditional,
@@ -28,8 +27,10 @@ from .queries import (
     DifferentialResult,
     differential_comparison,
     initial_queue_budget,
+    minimum_buffer,
     per_step_waste_budget,
     total_waste_budget,
+    tune_verifier,
     weakest_sufficient_assumption,
 )
 from .solutions import (
@@ -61,15 +62,12 @@ from .template import (
     table1_spaces,
 )
 from .verifier import CcacVerifier, VerificationResult
-from .verifier_tuning import TunedVerifier, tune_verifier
 
 __all__ = [
     "AssumptionResult",
     "ConditionalCCA",
     "ConditionalGenerator",
     "ConditionalSpec",
-    "ConditionalVerifier",
-    "TunedVerifier",
     "aimd_candidate",
     "rocc_conditional",
     "synthesize_conditional",
@@ -97,6 +95,7 @@ __all__ = [
     "is_rocc_family",
     "is_shift_invariant",
     "make_generator",
+    "minimum_buffer",
     "paper_eq_iii",
     "per_step_waste_budget",
     "initial_queue_budget",

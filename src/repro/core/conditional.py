@@ -22,9 +22,12 @@ observations:
 so AIMD is ``cond -> mu=1/2, nu=0, delta=0``, ``!cond -> mu=1, nu=0,
 delta=gamma`` and RoCC is both branches ``mu=0, nu=1, delta=1``.
 
-The synthesis query is identical in shape to the linear one; both the
-verifier-side encoding and an exact numeric simulation are provided, and
-a :class:`ConditionalGenerator` plugs into the same CEGIS loop.
+The synthesis query is identical in shape to the linear one, so
+:class:`~repro.core.verifier.CcacVerifier` checks conditional candidates
+directly (its counterexamples are replayed against the guarded rule by
+:mod:`repro.runtime.validate`); an exact numeric simulation drives
+generator pruning, and a :class:`ConditionalGenerator` plugs into the
+same CEGIS loop.
 """
 
 from __future__ import annotations
@@ -32,11 +35,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from ..ccac import CcacModel, CexTrace, ModelConfig
 from ..cegis import PruningMode
-from ..smt import And, Implies, Ite, Not, Or, RealVal, Term, encode_max
+from ..smt import Ite, RealVal, Term, encode_max
+from .verifier import CcacVerifier
 
 #: domains used by the conditional search spaces
 MU_DOMAIN: tuple[Fraction, ...] = (
@@ -227,61 +231,6 @@ class ConditionalSpec:
         )
 
 
-class ConditionalVerifier:
-    """Verifier for conditional candidates (same CCAC query)."""
-
-    def __init__(self, cfg: ModelConfig):
-        from .verifier import CcacVerifier
-
-        self._inner = CcacVerifier(cfg)
-        self.cfg = cfg
-
-    def find_counterexample(self, candidate: ConditionalCCA, worst_case: bool = False):
-        from ..ccac import negated_desired
-        from ..smt import Solver, sat, unknown
-        from .verifier import VerificationResult
-        import time
-
-        start = time.perf_counter()
-        net = CcacModel(self.cfg, prefix="cv")
-        solver = Solver()
-        solver.add(*net.constraints())
-        solver.add(*candidate.constraints_for(net))
-        solver.add(negated_desired(net))
-        if worst_case:
-            state = self._inner._env_states()[0]
-            model, inconclusive = self._inner._solve_worst_case(
-                solver, net, state, None
-            )
-        else:
-            outcome = solver.check()
-            inconclusive = outcome is unknown
-            model = solver.model() if outcome is sat else None
-        trace = None
-        if model is not None:
-            if self._inner.validate:
-                from ..runtime.validate import validate_counterexample, validate_model
-
-                validate_model(solver.assertions(), model, context="conditional cex")
-            trace = CexTrace.from_model(model, net)
-            if self._inner.validate:
-                # conditional candidates have branch semantics the linear
-                # template re-derivation doesn't cover; validate the
-                # environment and property violation only
-                validate_counterexample(trace, candidate=None)
-        return VerificationResult(
-            candidate=candidate,
-            verified=trace is None and not inconclusive,
-            counterexample=trace,
-            wall_time=time.perf_counter() - start,
-            solver_checks=solver.stats.checks,
-            unknown=inconclusive,
-        )
-
-    def verify(self, candidate: ConditionalCCA) -> bool:
-        return self.find_counterexample(candidate).verified
-
-
 def simulate_conditional(
     candidate: ConditionalCCA, trace: CexTrace, cfg: ModelConfig
 ) -> tuple[list[Fraction], list[Fraction]]:
@@ -381,7 +330,7 @@ def synthesize_conditional(
 
     spec = spec or ConditionalSpec()
     generator = ConditionalGenerator(spec, cfg)
-    verifier = ConditionalVerifier(cfg)
+    verifier = CcacVerifier(cfg)
     options = CegisOptions(
         worst_case_cex=worst_case_cex,
         find_all=find_all,

@@ -1,4 +1,5 @@
-"""Assumption synthesis and differential comparison (paper §2 and §4.1).
+"""Assumption synthesis, verifier tuning, buffer sizing and differential
+comparison (paper §2, §4.1 and §5).
 
 The paper's second and third query types ask for *environment assumptions*
 — human-interpretable logical constraints on network behaviour — instead
@@ -17,7 +18,10 @@ of parameterized inequalities, similar to [40]").  Each
 rational parameter theta (larger theta = weaker assumption = more network
 behaviours allowed); the weakest sufficient theta is found by binary
 search, each probe being one verifier call with the assumption conjoined
-to the environment.
+to the environment.  Verifier tuning (§5) is the same search over a
+panel of known-good heuristics, and buffer sizing searches the ``lossy``
+environment's buffer; every such search is one
+:func:`~repro.smt.optimize.bisect_monotone`.
 """
 
 from __future__ import annotations
@@ -25,12 +29,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, Union
 
 from ..ccac import CcacModel, ModelConfig
-from ..ccac.environments import EnvironmentSpec
-from ..smt import And, CheckOptions, RealVal, Term
+from ..ccac.environments import EnvironmentSpec, lossy_environment
+from ..obs import DEBUG, tracer
+from ..smt import And, CheckOptions, RealVal, Term, bisect_monotone
 from .template import CandidateCCA
+from .verifier import CcacVerifier
 
 
 @dataclass(frozen=True)
@@ -97,10 +103,13 @@ def initial_queue_budget(cfg: ModelConfig) -> AssumptionTemplate:
 class AssumptionResult:
     """Outcome of a weakest-sufficient-assumption query."""
 
-    candidate: CandidateCCA
+    #: the queried candidate; for :func:`tune_verifier`, the panel tuple
+    candidate: Union[CandidateCCA, tuple[CandidateCCA, ...]]
     template: AssumptionTemplate
     theta: Optional[Fraction]  # None: no theta in [lo, hi] suffices
     assumption: Optional[str]
+    #: verifier calls (per probed theta, panel members up to the first
+    #: that fails)
     probes: int
     wall_time: float
     #: probes the solver could not decide within the given
@@ -111,14 +120,17 @@ class AssumptionResult:
     def found(self) -> bool:
         return self.theta is not None
 
+    def describe(self) -> str:
+        if self.assumption is None:
+            return "no environment in the family admits the candidate(s)"
+        return self.assumption
 
-def _probe_verifier(cfg, environment, cache=None):
+
+def _probe_verifier(cfg, environment, cache=None) -> CcacVerifier:
     """One incremental verifier shared by all binary-search probes: the
     environment encoding, CNF conversion, and learned clauses are
     amortized across probes (each probe is a push/pop of the assumption
     plus the candidate's template constraints)."""
-    from .verifier import CcacVerifier
-
     return CcacVerifier(
         cfg,
         incremental=True,
@@ -132,30 +144,78 @@ def _holds_under(
     cfg: ModelConfig,
     template: AssumptionTemplate,
     theta: Fraction,
-    verifier=None,
+    verifier: Optional[CcacVerifier] = None,
     options: Optional[CheckOptions] = None,
-) -> bool:
+) -> Optional[bool]:
     """Does the candidate provably meet the property on every trace
     satisfying the assumption at theta?
 
-    Routed through :class:`~repro.core.verifier.CcacVerifier` (the
-    assumption rides in as an extra constraint of the candidate frame),
-    so probes share the environment encoding, benefit from a query
-    cache, honour a ``deadline``, and validate any SAT model found.  An
-    inconclusive probe (budget exhausted) counts as *not* sufficient —
-    never a false "holds".
+    The assumption rides in as an extra constraint of the verifier's
+    candidate frame, so probes share the environment encoding, the
+    query cache, the ``deadline`` and model validation.  Returns True
+    (proved), False (counterexample) or None (budget exhausted), which
+    callers treat as *not* sufficient — never a false "holds".
     """
     if verifier is None:
         verifier = _probe_verifier(cfg, None)
-    net = verifier.network()
     opts = options or CheckOptions()
     result = verifier.find_counterexample(
         candidate,
         max_conflicts=opts.max_conflicts,
         deadline=opts.deadline,
-        extra_constraints=[template.build(net, theta)],
+        extra_constraints=[template.build(verifier.network(), theta)],
     )
-    return result.verified
+    return None if result.unknown else result.verified
+
+
+def _weakest(
+    subject,
+    panel: Sequence[CandidateCCA],
+    cfg: ModelConfig,
+    template: AssumptionTemplate,
+    precision: Fraction,
+    environment: Optional[EnvironmentSpec] = None,
+    options: Optional[CheckOptions] = None,
+    cache=None,
+) -> AssumptionResult:
+    """Largest theta under which every panel member is verified.
+
+    Monotonicity makes the conjunction over the panel monotone too, so
+    one bisection suffices; each probe short-circuits on the first
+    member that fails.
+    """
+    start = time.perf_counter()
+    probes = 0
+    unknown_probes = 0
+    verifier = _probe_verifier(cfg, environment, cache=cache)
+    tr = tracer()
+
+    def sufficient(theta: Fraction) -> bool:
+        nonlocal probes, unknown_probes
+        for cand in panel:
+            probes += 1
+            holds = _holds_under(
+                cand, cfg, template, theta, verifier=verifier, options=options
+            )
+            tr.event("queries.probe", level=DEBUG, probe=probes,
+                     theta=str(theta), candidate=str(cand), holds=holds)
+            if holds is None:
+                unknown_probes += 1
+            if not holds:
+                return False
+        return True
+
+    with tr.span("queries.weakest", panel=len(panel)):
+        theta = bisect_monotone(sufficient, template.lo, template.hi, precision)
+    return AssumptionResult(
+        subject,
+        template,
+        theta,
+        None if theta is None else template.describe(theta),
+        probes,
+        time.perf_counter() - start,
+        unknown_probes,
+    )
 
 
 def weakest_sufficient_assumption(
@@ -178,53 +238,45 @@ def weakest_sufficient_assumption(
     variables); ``options`` carries the per-probe solver budget
     (``deadline`` bounds each probe's wall clock).
     """
-    start = time.perf_counter()
-    probes = 0
-    unknown_probes = 0
-    verifier = _probe_verifier(cfg, environment, cache=cache)
-    net = verifier.network()
-    opts = options or CheckOptions()
-
-    def sufficient(theta: Fraction) -> bool:
-        nonlocal probes, unknown_probes
-        probes += 1
-        result = verifier.find_counterexample(
-            candidate,
-            max_conflicts=opts.max_conflicts,
-            deadline=opts.deadline,
-            extra_constraints=[template.build(net, theta)],
-        )
-        if result.unknown:
-            unknown_probes += 1
-        return result.verified
-
-    lo, hi = template.lo, template.hi
-    if not sufficient(lo):
-        return AssumptionResult(
-            candidate, template, None, None, probes,
-            time.perf_counter() - start, unknown_probes,
-        )
-    if sufficient(hi):
-        best = hi
-    else:
-        # invariant: sufficient(lo), not sufficient(hi)
-        best = lo
-        while hi - lo > precision:
-            mid = (lo + hi) / 2
-            if sufficient(mid):
-                best = mid
-                lo = mid
-            else:
-                hi = mid
-    return AssumptionResult(
-        candidate,
-        template,
-        best,
-        template.describe(best),
-        probes,
-        time.perf_counter() - start,
-        unknown_probes,
+    return _weakest(
+        candidate, (candidate,), cfg, template, precision,
+        environment=environment, options=options, cache=cache,
     )
+
+
+def tune_verifier(
+    panel: Sequence[CandidateCCA],
+    cfg: ModelConfig,
+    template: AssumptionTemplate,
+    precision: Fraction = Fraction(1, 16),
+) -> AssumptionResult:
+    """Verifier tuning (paper §5): the weakest theta under which *every*
+    heuristic of a known-good panel is verified — the weakest sufficient
+    assumption of the panel (a single candidate is a panel of one).  The
+    result is the tuned verifier environment: adversarial enough to
+    exercise real behaviours, tame enough that known heuristics survive.
+    """
+    panel = tuple(panel)
+    return _weakest(panel, panel, cfg, template, precision)
+
+
+def minimum_buffer(
+    candidate: CandidateCCA,
+    cfg: ModelConfig,
+    lo: Fraction = Fraction(1, 4),
+    hi: Fraction = Fraction(16),
+    precision: Fraction = Fraction(1, 4),
+) -> Optional[Fraction]:
+    """Smallest drop-tail buffer (to ``precision``, in ``C*D`` units) at
+    which the candidate still verifies in the ``lossy`` environment;
+    None if even ``hi`` is insufficient.  Buffer sizing — the classic
+    network-provisioning question — answered formally."""
+
+    def verified_with(buffer: Fraction) -> bool:
+        verifier = CcacVerifier(cfg, environments=[lossy_environment(buffer)])
+        return verifier.find_counterexample(candidate).verified
+
+    return bisect_monotone(verified_with, lo, hi, precision, largest=False)
 
 
 @dataclass

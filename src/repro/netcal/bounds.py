@@ -5,8 +5,9 @@ curve pair: with waste ``W`` the link guarantees at least
 ``C*(t - j) - W`` and at most ``C*t - W`` of cumulative service — i.e. the
 link behaves like a rate-latency server ``beta_{C, j}`` whose latency the
 adversary controls within the jitter budget.  These helpers compute the
-bounds the model's traces must respect; the test suite checks every
-verifier-produced counterexample against them.
+bounds the model's traces must respect; the test suite checks verifier
+counterexamples of the lossless and ``jitter`` environments, plain and
+worst-case, against :func:`check_service_within_envelope`.
 """
 
 from __future__ import annotations

@@ -176,14 +176,42 @@ def _desired_holds(trace) -> bool:
     return trace.desired_holds()
 
 
+def _linear_rule(candidate, trace, t: int) -> Fraction:
+    """Eq. ii from the raw coefficients, before the ``cwnd_min`` floor."""
+    total = Fraction(candidate.gamma)
+    for i in range(1, len(candidate.betas) + 1):
+        back = t - i
+        if candidate.alphas[i - 1] != 0:
+            total += candidate.alphas[i - 1] * trace.cwnd_at(back)
+        if candidate.betas[i - 1] != 0:
+            total += candidate.betas[i - 1] * trace.ack_at(back)
+    return total
+
+
+def _conditional_rule(candidate, trace, t: int) -> Fraction:
+    """The guarded rule of a conditional candidate from its raw fields,
+    before the ``cwnd_min`` floor: the congested branch applies when the
+    queue estimate ``cwnd(t-1) - (ack(t-1) - ack(t-2))`` is strictly
+    above ``threshold``; each branch is
+    ``mu * cwnd(t-1) + nu * (ack(t-1) - ack(t-3)) + delta``."""
+    cwnd_prev = trace.cwnd_at(t - 1)
+    queue = cwnd_prev - (trace.ack_at(t - 1) - trace.ack_at(t - 2))
+    acked2 = trace.ack_at(t - 1) - trace.ack_at(t - 3)
+    c = candidate
+    if queue > c.threshold:
+        return c.mu_congested * cwnd_prev + c.nu_congested * acked2 + c.delta_congested
+    return c.mu_clear * cwnd_prev + c.nu_clear * acked2 + c.delta_clear
+
+
 def _template_violations(trace, candidate) -> list[str]:
     """Re-derive the candidate's cwnd trajectory on the trace.
 
-    Uses the candidate's raw coefficients directly (not its own
-    ``next_cwnd`` helper) so the check stays independent of the
-    template's evaluation code as well as the SMT encoding.  A two-flow
-    trace runs the check once per flow (both flows execute the same
-    candidate on their own observations).
+    Uses the candidate's raw fields directly (not its own ``next_cwnd``
+    helper) so the check stays independent of the template's evaluation
+    code as well as the SMT encoding.  Linear (Eq. ii) and conditional
+    (guarded, with a ``threshold``) candidates are both replayed.  A
+    two-flow trace runs the check once per flow (both flows execute the
+    same candidate on their own observations).
     """
     flows = getattr(trace, "flows", None)
     if flows is not None:
@@ -194,17 +222,10 @@ def _template_violations(trace, candidate) -> list[str]:
             )
         return errors
     cfg = trace.cfg
+    rule = _conditional_rule if hasattr(candidate, "threshold") else _linear_rule
     errors: list[str] = []
-    history = len(candidate.betas)
     for t in range(cfg.T + 1):
-        total = Fraction(candidate.gamma)
-        for i in range(1, history + 1):
-            back = t - i
-            if candidate.alphas[i - 1] != 0:
-                total += candidate.alphas[i - 1] * trace.cwnd_at(back)
-            if candidate.betas[i - 1] != 0:
-                total += candidate.betas[i - 1] * trace.ack_at(back)
-        expected = max(total, cfg.cwnd_min)
+        expected = max(rule(candidate, trace, t), cfg.cwnd_min)
         if trace.cwnd[t] != expected:
             errors.append(
                 f"cwnd({t}) = {trace.cwnd[t]} but template rule gives {expected}"

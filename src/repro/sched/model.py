@@ -40,6 +40,7 @@ from ..smt import (
     Solver,
     Sum,
     Term,
+    bisect_monotone,
     encode_max,
     exactly_one,
     sat,
@@ -194,14 +195,10 @@ class SchedulingVerifier:
         for small job counts this is *below* Graham's asymptotic bound,
         and the search recovers the exact finite-n constant."""
         hi = hi if hi is not None else self.cfg.graham_ratio
-        if not self.verify_ratio(hi).verified:
+        rho = bisect_monotone(
+            lambda r: self.verify_ratio(r).verified,
+            lo, hi, precision, largest=False,
+        )
+        if rho is None:
             raise ValueError(f"upper bracket {hi} is not verified")
-        if self.verify_ratio(lo).verified:
-            return lo
-        while hi - lo > precision:
-            mid = (lo + hi) / 2
-            if self.verify_ratio(mid).verified:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        return rho

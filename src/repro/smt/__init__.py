@@ -42,7 +42,7 @@ from .errors import (
     UnknownResultError,
 )
 from .maxsat import MaxSatResult, MaxSatSolver
-from .optimize import OptimizeResult, maximize, minimize
+from .optimize import OptimizeResult, bisect_monotone, maximize, minimize
 from .session import SessionStats, SolverSession
 from .solver import CheckOptions, Model, Result, Solver, check_formulas, sat, unknown, unsat
 from .terms import (
@@ -81,7 +81,8 @@ __all__ = [
     "MaxSatResult", "MaxSatSolver", "Model", "NonLinearError", "Not",
     "OptimizeResult", "Or", "Real", "RealVal", "Result", "SessionStats",
     "SmtError", "Solver", "SolverSession", "SortError", "Sum", "TRUE",
-    "Term", "UnknownResultError", "at_most_one", "bool_indicator",
+    "Term", "UnknownResultError", "at_most_one", "bisect_monotone",
+    "bool_indicator",
     "canonical_hash", "canonical_key", "check_formulas", "clear_interned",
     "compile_query", "encode_abs", "encode_max", "encode_min", "evaluate",
     "exactly_one", "intern_stats", "interned_count", "interned_scope",

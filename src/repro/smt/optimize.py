@@ -6,13 +6,18 @@ search".  This module provides exactly that primitive, generalized: given a
 satisfiable constraint system and a real objective term, find (to a given
 precision) the largest value ``m`` such that the system plus
 ``objective >= m`` is satisfiable, returning the maximizing model.
+
+:func:`bisect_monotone` is the model-free variant every one-parameter
+query uses (weakest sufficient assumption, verifier tuning, buffer
+sizing, ABR thresholds, scheduling ratios): it locates the boundary of a
+monotone predicate over a rational bracket.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from ..obs import DEBUG, tracer
 from .solver import CheckOptions, Model, Result, _require_options, sat, unknown, unsat
@@ -114,6 +119,37 @@ def maximize(
         else:
             high = mid
     return OptimizeResult(True, best_value, best_model, probes)
+
+
+def bisect_monotone(
+    holds: Callable[[Fraction], bool],
+    lo: Fraction,
+    hi: Fraction,
+    precision: Fraction,
+    largest: bool = True,
+) -> Optional[Fraction]:
+    """Boundary of a monotone predicate on ``[lo, hi]``, to ``precision``.
+
+    ``largest=True``: ``holds`` is true up to a threshold, and the
+    largest value seen to hold is returned; ``largest=False``: true from
+    a threshold on, and the smallest is returned.  The end that must
+    hold is probed first (``None`` if it fails), then the other end
+    (returned if it holds), then at most
+    ``ceil(log2((hi - lo) / precision))`` bisection steps.
+    """
+    lo, hi = Fraction(lo), Fraction(hi)
+    inner, outer = (lo, hi) if largest else (hi, lo)
+    if not holds(inner):
+        return None
+    if holds(outer):
+        return outer
+    while hi - lo > precision:
+        mid = (lo + hi) / 2
+        if holds(mid) == largest:
+            lo = mid
+        else:
+            hi = mid
+    return lo if largest else hi
 
 
 def minimize(

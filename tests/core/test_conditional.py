@@ -1,21 +1,33 @@
 """Tests for the conditional (if-then-else) template extension (§4.1)."""
 
+import dataclasses
+import time
 from fractions import Fraction
 
 import pytest
 
-from repro.cegis import PruningMode
+from repro.ccac import parse_environment
+from repro.cegis import CegisLoop, PruningMode
 from repro.core.conditional import (
     ConditionalCCA,
     ConditionalGenerator,
     ConditionalSpec,
-    ConditionalVerifier,
     aimd_candidate,
     conditional_satisfies_spec,
     rocc_conditional,
     simulate_conditional,
     synthesize_conditional,
 )
+from repro.core.verifier import CcacVerifier
+from repro.runtime.errors import SoundnessError
+from repro.runtime.validate import _template_violations
+
+#: the environment cells a conditional counterexample is replayed on
+REPLAY_ENVIRONMENTS = [None, "lossy:buffer=1", "multiflow:min_share=0,phi=1/2"]
+
+
+def _environments(text):
+    return None if text is None else [parse_environment(text)]
 
 
 class TestCandidates:
@@ -52,13 +64,13 @@ class TestCandidates:
 
 class TestVerifier:
     def test_rocc_conditional_verified(self, fast_cfg):
-        assert ConditionalVerifier(fast_cfg).verify(rocc_conditional())
+        assert CcacVerifier(fast_cfg).verify(rocc_conditional())
 
     def test_aimd_refuted(self, fast_cfg):
         """The adversary can hide the queue signal (jitter the acks), so
         the self-clocked AIMD guard misfires — the analogue of CCAC's
         findings for delay-signal CCAs like Copa/BBR."""
-        res = ConditionalVerifier(fast_cfg).find_counterexample(aimd_candidate())
+        res = CcacVerifier(fast_cfg).find_counterexample(aimd_candidate())
         assert not res.verified
         assert res.counterexample.check_environment() == []
 
@@ -66,12 +78,62 @@ class TestVerifier:
         shrink = ConditionalCCA(
             Fraction(0), Fraction(1, 2), Fraction(0), Fraction(1, 2), Fraction(0)
         )
-        assert not ConditionalVerifier(fast_cfg).verify(shrink)
+        assert not CcacVerifier(fast_cfg).verify(shrink)
+
+    def test_rocc_conditional_certified(self, fast_cfg):
+        res = CcacVerifier(fast_cfg, certify=True).find_counterexample(
+            rocc_conditional()
+        )
+        assert res.verified
+        assert res.certified
+
+    @pytest.mark.parametrize("worst_case", [False, True])
+    @pytest.mark.parametrize("env", REPLAY_ENVIRONMENTS)
+    def test_counterexamples_replay_the_guarded_rule(self, fast_cfg, env, worst_case):
+        """The validator re-derives the guarded rule from the raw fields
+        on lossless, lossy and two-flow traces (per flow)."""
+        cand = aimd_candidate()
+        res = CcacVerifier(fast_cfg, environments=_environments(env)).find_counterexample(
+            cand, worst_case=worst_case
+        )
+        assert not res.verified
+        assert _template_violations(res.counterexample, cand) == []
+        other = dataclasses.replace(cand, delta_clear=cand.delta_clear + 1)
+        assert _template_violations(res.counterexample, other) != []
+
+    @pytest.mark.parametrize("env", REPLAY_ENVIRONMENTS)
+    def test_encoding_bug_raises_soundness_error(self, fast_cfg, env, monkeypatch):
+        """An encoding that differs from the rule (+1 on both deltas, so
+        above the cwnd floor) must not prune silently: the default
+        verifier replays the counterexample against the candidate."""
+        encode = ConditionalCCA.constraints_for
+
+        def shifted(self, model):
+            bumped = dataclasses.replace(
+                self,
+                delta_congested=self.delta_congested + 1,
+                delta_clear=self.delta_clear + 1,
+            )
+            return encode(bumped, model)
+
+        monkeypatch.setattr(ConditionalCCA, "constraints_for", shifted)
+        with pytest.raises(SoundnessError, match="candidate's rule"):
+            CcacVerifier(fast_cfg, environments=_environments(env)).find_counterexample(
+                aimd_candidate()
+            )
+
+    def test_expired_deadline_is_unknown(self, fast_cfg):
+        res = CcacVerifier(fast_cfg).find_counterexample(
+            aimd_candidate(), deadline=time.perf_counter() - 1
+        )
+        assert res.unknown
+        assert not res.verified
+        assert res.counterexample is None
 
 
 class TestGenerator:
     def test_counterexample_filters(self, fast_cfg):
-        verifier = ConditionalVerifier(fast_cfg)
+        verifier = CcacVerifier(fast_cfg)
         trace = verifier.find_counterexample(aimd_candidate()).counterexample
         spec = ConditionalSpec(threshold_domain=(Fraction(2),))
         gen = ConditionalGenerator(spec, fast_cfg)
@@ -90,7 +152,7 @@ class TestGenerator:
         reproduces the trace's cwnd trajectory (the verifier and the
         numeric semantics agree)."""
         cand = aimd_candidate()
-        trace = ConditionalVerifier(fast_cfg).find_counterexample(cand).counterexample
+        trace = CcacVerifier(fast_cfg).find_counterexample(cand).counterexample
         cwnd, A = simulate_conditional(cand, trace, fast_cfg)
         assert tuple(cwnd) == trace.cwnd
         assert tuple(A) == trace.A
@@ -107,4 +169,11 @@ class TestSynthesis:
         )
         outcome = synthesize_conditional(fast_cfg, spec=spec, time_budget=600)
         assert outcome.solutions
-        assert ConditionalVerifier(fast_cfg).verify(outcome.solutions[0])
+        assert CcacVerifier(fast_cfg).verify(outcome.solutions[0])
+
+    def test_synthesize_conditional_forwards_deadline(self, fast_cfg, monkeypatch):
+        """The loop hands its time budget's deadline to every verifier
+        call, so one call cannot overrun ``time_budget``."""
+        monkeypatch.setattr(CegisLoop, "run", lambda loop: loop)
+        loop = synthesize_conditional(fast_cfg, time_budget=1)
+        assert loop._verifier_takes_deadline

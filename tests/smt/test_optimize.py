@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 
+from hypothesis import given, strategies as st
+
 from repro.smt import Or, Real, Solver
-from repro.smt.optimize import maximize, minimize
+from repro.smt.optimize import bisect_monotone, maximize, minimize
 
 x, y = Real("x"), Real("y")
 
@@ -63,3 +65,60 @@ class TestMinimize:
         s.add(x >= 100)
         res = minimize(s, x, Fraction(0), Fraction(10))
         assert not res.feasible
+
+
+def _ceil_log2(q: Fraction) -> int:
+    k = 0
+    while 2**k < q:
+        k += 1
+    return k
+
+
+fracs = st.fractions(min_value=-8, max_value=8, max_denominator=16)
+positive = st.fractions(min_value=Fraction(1, 64), max_value=8, max_denominator=64)
+
+
+class TestBisectMonotone:
+    @given(
+        lo=fracs,
+        width=positive,
+        precision=positive,
+        offset=st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(3, 2)),
+        largest=st.booleans(),
+    )
+    def test_step_predicate_boundary(self, lo, width, precision, offset, largest):
+        """A monotone step at a random threshold (inside or just outside
+        the bracket): the answer holds, lies within ``precision`` of the
+        threshold, and costs at most ``2 + ceil(log2(width/precision))``
+        probes."""
+        hi = lo + width
+        threshold = lo + offset * width
+        probes = []
+
+        def holds(x):
+            probes.append(x)
+            return x <= threshold if largest else x >= threshold
+
+        got = bisect_monotone(holds, lo, hi, precision, largest=largest)
+        assert len(probes) <= 2 + _ceil_log2(width / precision)
+        assert all(lo <= p <= hi for p in probes)
+        if (largest and threshold < lo) or (not largest and threshold > hi):
+            assert got is None
+            return
+        assert got is not None and holds(got)
+        if largest:
+            assert got <= threshold
+            assert got == hi or threshold - got <= precision
+        else:
+            assert got >= threshold
+            assert got == lo or got - threshold <= precision
+
+    def test_probes_required_end_first(self):
+        seen = []
+        bisect_monotone(lambda x: seen.append(x) or False, 0, 4, Fraction(1))
+        assert seen == [0]
+        seen.clear()
+        bisect_monotone(
+            lambda x: seen.append(x) or True, 0, 4, Fraction(1), largest=False
+        )
+        assert seen == [4, 0]

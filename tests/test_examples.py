@@ -1,6 +1,8 @@
 """Examples stay runnable: syntax/compile checks for all, plus execution
 of the fast ones (the slow synthesis demos are exercised by benchmarks)."""
 
+import ast
+import importlib
 import pathlib
 import py_compile
 import runpy
@@ -42,3 +44,29 @@ def test_simulate_example_runs(capsys):
     out = capsys.readouterr().out
     assert "rocc" in out
     assert "max_waste" in out
+
+
+def _repro_imports(path):
+    """``(module, name)`` for every ``from repro... import name`` in a file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = node.module or ""
+            if module == "repro" or module.startswith("repro."):
+                for alias in node.names:
+                    yield module, alias.name
+
+
+@pytest.mark.parametrize("path", ALL_EXAMPLES, ids=lambda p: p.name)
+def test_example_imports_resolve(path):
+    """A name removed from the package must fail here, not in a user's
+    shell: byte-compiling an example does not resolve its imports."""
+    missing = []
+    for module, name in _repro_imports(path):
+        owner = importlib.import_module(module)
+        if not hasattr(owner, name):
+            try:
+                importlib.import_module(f"{module}.{name}")
+            except ImportError:
+                missing.append(f"{module}.{name}")
+    assert missing == []
