@@ -329,8 +329,7 @@ def bench_matrix(cfg: ModelConfig, candidates: list, rounds: int) -> dict:
 
     def _tasks(fn):
         return [
-            (fn, (cfg, precision, cand, False, None, True, None, False,
-                  [env]))
+            (fn, (cfg, precision, cand, False, None, None, False, [env]))
             for cand, env in cells
         ]
 
@@ -396,7 +395,7 @@ def bench_service(cfg: ModelConfig, candidates: list, rounds: int) -> dict:
 
     def _tasks(fn):
         return [
-            (fn, (cfg, precision, cand, False, None, True, None, False))
+            (fn, (cfg, precision, cand, False, None, None, False))
             for cand in candidates
         ]
 

@@ -43,7 +43,9 @@ from repro.runtime import (  # noqa: E402
     resume_synthesis,
     run_synthesis,
 )
-from repro.runtime.workers import IsolatedVerifier, WorkerLimits  # noqa: E402
+from repro.engine import PortfolioVerifier  # noqa: E402
+from repro.runtime.workers import WorkerLimits  # noqa: E402
+from repro.service import WorkerPool  # noqa: E402
 
 
 def fail(msg: str) -> int:
@@ -53,11 +55,19 @@ def fail(msg: str) -> int:
 
 def phase_storm_and_calm(cfg: ModelConfig, seed: int) -> int:
     """Worker fault storm -> honest unknown; calm -> certified verdict."""
+    with WorkerPool(size=1) as pool:
+        return _storm_and_calm(cfg, seed, pool)
+
+
+def _storm_and_calm(cfg: ModelConfig, seed: int, pool) -> int:
+    """Both phases on one single-worker pool, as an isolated run has."""
     candidate = rocc(cfg.history)
-    verifier = IsolatedVerifier(
+    verifier = PortfolioVerifier(
         cfg,
+        jobs=1,
         limits=WorkerLimits(wall_time=120.0, retries=2, backoff_cap=0.5),
         certify=True,
+        pool=pool,
         retry_seed=seed,
     )
     install(ChaosConfig(seed=seed, specs=(FaultSpec("worker.child", "oom"),)))

@@ -121,7 +121,6 @@ def verify(
     cfg=None,
     *,
     worst_case: bool = False,
-    validate: bool = True,
     cache=None,
 ):
     """Verify one concrete candidate CCA against the CCAC model.
@@ -129,7 +128,8 @@ def verify(
     Returns a :class:`repro.core.verifier.VerificationResult`:
     ``verified=True`` proves no admissible trace violates the desired
     property; otherwise ``counterexample`` carries a violating trace
-    (the worst-case one under ``worst_case=True``).  ``cache`` accepts a
+    (the worst-case one under ``worst_case=True``), independently
+    validated before it is returned.  ``cache`` accepts a
     :class:`repro.engine.QueryCache` to reuse conclusive verdicts across
     calls.
     """
@@ -137,8 +137,6 @@ def verify(
     from .core.verifier import CcacVerifier
 
     verifier = CcacVerifier(
-        cfg if cfg is not None else ModelConfig(),
-        validate=validate,
-        cache=cache,
+        cfg if cfg is not None else ModelConfig(), cache=cache
     )
     return verifier.find_counterexample(candidate, worst_case=worst_case)

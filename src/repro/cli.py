@@ -70,13 +70,8 @@ from .cegis import PruningMode
 from .obs import DEBUG, INFO, ConsoleSink, JsonlSink, metrics, tracer
 from .obs.report import report as render_trace_report
 from .core import (
-    CandidateCCA,
-    CcacVerifier,
     SynthesisQuery,
     classify,
-    constant_cwnd,
-    paper_eq_iii,
-    rocc,
     synthesize,
     table1_spaces,
     total_waste_budget,
@@ -119,16 +114,6 @@ def _readable_file(text: str) -> str:
     return text
 
 
-def _named_cca(name: str) -> CandidateCCA:
-    if name == "rocc":
-        return rocc()
-    if name == "eq3":
-        return paper_eq_iii()
-    if name.startswith("const:"):
-        return constant_cwnd(Fraction(name.split(":", 1)[1]))
-    raise SystemExit(f"unknown CCA {name!r}; use rocc, eq3, or const:<gamma>")
-
-
 def _add_runtime_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("fault tolerance")
     g.add_argument(
@@ -138,15 +123,18 @@ def _add_runtime_args(p: argparse.ArgumentParser) -> None:
     )
     g.add_argument(
         "--isolate", action="store_true",
-        help="run each solver call in an isolated, resource-capped worker",
+        help="run each solver call in a resource-capped worker of a "
+             "single-worker pool that lives as long as the run",
     )
     g.add_argument(
         "--solver-timeout", type=_positive_float, default=60.0,
-        metavar="SECONDS", help="per-call wall-clock cap for --isolate workers",
+        metavar="SECONDS",
+        help="per-call wall-clock cap for pool workers (--isolate, --jobs)",
     )
     g.add_argument(
         "--solver-mem-mb", type=_positive_int, default=None,
-        metavar="MIB", help="per-worker memory cap for --isolate workers",
+        metavar="MIB",
+        help="per-worker memory cap for pool workers (--isolate, --jobs)",
     )
     g.add_argument(
         "--cross-check", action="store_true",
@@ -179,12 +167,6 @@ def _add_runtime_args(p: argparse.ArgumentParser) -> None:
         "--cache-dir", metavar="PATH", default=None,
         help="content-addressed query cache shared across runs and "
              "portfolio workers (conclusive verdicts only)",
-    )
-    g.add_argument(
-        "--incremental", action="store_true",
-        help="keep one incremental solver session across verifier calls "
-             "(in-process verifier only; --jobs workers always do, "
-             "--isolate attempts never do)",
     )
     _add_pipeline_arg(g)
 
@@ -309,7 +291,6 @@ def _runtime_options(args):
         solver_mem_mb=getattr(args, "solver_mem_mb", None),
         cross_check=getattr(args, "cross_check", False),
         cache_dir=getattr(args, "cache_dir", None),
-        incremental=getattr(args, "incremental", False),
         certify=getattr(args, "certify", False),
         falsify=getattr(args, "falsify", 0),
         falsify_seed=getattr(args, "falsify_seed", 0),
@@ -407,17 +388,8 @@ def cmd_resume(args) -> int:
     return _print_synthesis_result(result, result.query.cfg)
 
 
-def _describe_certificate(summary) -> str:
-    """Renders a certificate summary — the live object or its payload
-    dict (a service result round-tripped through JSON)."""
-    if not isinstance(summary, dict):
-        summary = {
-            "steps": summary.steps,
-            "inputs": summary.inputs,
-            "rup_additions": summary.rup_additions,
-            "theory_lemmas": summary.theory_lemmas,
-            "check_time": summary.check_time,
-        }
+def _describe_certificate(summary: dict) -> str:
+    """Renders a verify payload's certificate summary."""
     return (
         f"proof checked: {summary['steps']} steps "
         f"({summary['inputs']} inputs, "
@@ -474,24 +446,29 @@ def cmd_certify(args) -> int:
     production on; every UNSAT verdict must survive the independent
     checker.  Exit 0 only when each CCA reached a conclusive verdict and
     every verified one carries a checked certificate."""
+    from .service.jobs import JobSpecError, execute_job, verify_spec
+
     failures = 0
     for name in args.ccas:
-        cand = _named_cca(name)
-        verifier = CcacVerifier(_cfg(args), certify=True)
-        res = verifier.find_counterexample(cand, worst_case=args.wce)
-        print(f"{name}: {cand.pretty()}")
-        if res.verified:
-            if res.certified:
-                print(f"  CERTIFIED in {res.wall_time:.2f}s; "
-                      f"{_describe_certificate(res.certificate)}")
+        spec = verify_spec(name, _cfg(args), worst_case=args.wce, certify=True)
+        try:
+            payload = execute_job(spec)
+        except JobSpecError as exc:
+            raise SystemExit(str(exc))
+        wall = payload["wall_time"]
+        print(f"{name}: {payload['pretty']}")
+        if payload["verified"]:
+            if payload["certified"]:
+                print(f"  CERTIFIED in {wall:.2f}s; "
+                      f"{_describe_certificate(payload['certificate'])}")
             else:
-                print(f"  VERIFIED but NOT CERTIFIED in {res.wall_time:.2f}s")
+                print(f"  VERIFIED but NOT CERTIFIED in {wall:.2f}s")
                 failures += 1
-        elif res.counterexample is not None:
-            print(f"  COUNTEREXAMPLE in {res.wall_time:.2f}s "
+        elif payload["counterexample"] is not None:
+            print(f"  COUNTEREXAMPLE in {wall:.2f}s "
                   f"(nothing to certify; trace independently validated)")
         else:
-            print(f"  UNKNOWN in {res.wall_time:.2f}s")
+            print(f"  UNKNOWN in {wall:.2f}s")
             failures += 1
     return 0 if failures == 0 else 1
 
@@ -817,7 +794,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_assumption(args) -> int:
-    cand = _named_cca(args.cca)
+    from .service.jobs import JobSpecError, _named_cca
+
+    try:
+        cand = _named_cca(args.cca)
+    except JobSpecError as exc:
+        raise SystemExit(str(exc))
     cfg = _cfg(args)
     result = weakest_sufficient_assumption(cand, cfg, total_waste_budget(cfg))
     print(f"{cand.pretty()}")

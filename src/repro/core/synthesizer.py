@@ -11,6 +11,7 @@ baseline (call the verifier on every candidate).
 from __future__ import annotations
 
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, Optional
@@ -126,8 +127,8 @@ def synthesize(
     """Run the CEGIS loop for a query.
 
     ``verifier`` substitutes the default (any
-    :class:`repro.cegis.Verifier`; the fault-tolerant runtime passes an
-    isolated and/or resilient wrapper); ``checkpoint`` enables
+    :class:`repro.cegis.Verifier`; the fault-tolerant runtime passes a
+    pooled and/or resilient one); ``checkpoint`` enables
     per-iteration crash-safe state persistence (see
     :mod:`repro.runtime.checkpoint`).  With ``query.jobs > 1`` and no
     explicit verifier, a :class:`repro.engine.PortfolioVerifier` races
@@ -136,19 +137,6 @@ def synthesize(
     """
     start = time.perf_counter()
     generator = make_generator(query)
-    pool = None
-    if verifier is None:
-        if query.jobs > 1:
-            from ..engine import PortfolioVerifier
-            from ..service.pool import WorkerPool
-
-            pool = WorkerPool(size=query.jobs)
-            verifier = PortfolioVerifier(
-                query.cfg, jobs=query.jobs, environments=query.environments,
-                pool=pool,
-            )
-        else:
-            verifier = CcacVerifier(query.cfg, environments=query.environments)
     options = CegisOptions(
         worst_case_cex=query.worst_case_cex,
         find_all=query.find_all,
@@ -158,13 +146,19 @@ def synthesize(
         verbose=query.verbose,
         jobs=query.jobs,
     )
-    try:
+    with ExitStack() as stack:
+        if verifier is None and query.jobs > 1:
+            from ..engine.portfolio import PortfolioVerifier, worker_pool
+
+            verifier = PortfolioVerifier(
+                query.cfg, jobs=query.jobs, environments=query.environments,
+                pool=stack.enter_context(worker_pool(size=query.jobs)),
+            )
+        elif verifier is None:
+            verifier = CcacVerifier(query.cfg, environments=query.environments)
         outcome: CegisOutcome = CegisLoop(
             generator, verifier, options, checkpoint=checkpoint
         ).run()
-    finally:
-        if pool is not None:
-            pool.shutdown()
     return SynthesisResult(
         query=query,
         solutions=outcome.solutions,

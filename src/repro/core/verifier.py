@@ -26,7 +26,7 @@ counterexample eliminate more candidates in the generator.  Each
 environment supplies its own interval widths (two-flow models measure
 aggregate service against the shared token bucket).
 
-**Independent validation** (on by default): because the reproduction
+**Independent validation** (always on): because the reproduction
 substitutes z3 with the from-scratch :mod:`repro.smt` solver, every SAT
 model is re-checked by :mod:`repro.runtime.validate` — an exact-arithmetic
 evaluator sharing no code with the solver — against all asserted
@@ -48,7 +48,7 @@ from ..ccac import ModelConfig
 from ..ccac.environments import EnvironmentSpec, lossless_environment
 from ..obs import DEBUG, tracer
 from ..runtime.validate import validate_counterexample, validate_model
-from ..smt import CheckOptions, Or, Real, RealVal, Solver, SolverSession, Term, sat, unknown
+from ..smt import CheckOptions, Or, Real, RealVal, SolverSession, Term, sat, unknown
 from ..smt.optimize import maximize
 from .template import CandidateCCA
 
@@ -95,18 +95,21 @@ class _EnvState:
 class CcacVerifier:
     """The per-candidate CCAC verifier.
 
-    Two operating modes:
+    Every query runs on a :class:`~repro.smt.SolverSession`, in one of
+    two modes:
 
-    * **fresh** (default): each call builds a fresh solver over the full
+    * **fresh** (default): each call opens a new session over the full
       encoding — stateless, trivially correct, and what the original
       reproduction did.
-    * **incremental** (``incremental=True``): one long-lived
-      :class:`~repro.smt.SolverSession` *per environment* holds the
-      candidate-independent encoding (environment + negated desired
-      property); each call push/pops only the candidate's template
-      constraints.  The CNF conversion, theory atoms, and learned
-      clauses are amortized across every candidate the verifier ever
-      sees.
+    * **incremental** (``incremental=True``): one long-lived session
+      *per environment* holds the candidate-independent encoding
+      (environment + negated desired property); each call push/pops
+      only the candidate's template constraints.  The CNF conversion,
+      theory atoms, and learned clauses are amortized across every
+      candidate the verifier ever sees — but the tableau keeps every
+      popped candidate's rows, so this pays only for workers that serve
+      many candidates (the ``jobs > 1`` pool task) and for queries that
+      re-check one candidate under many assumptions.
 
     Either mode accepts a ``cache`` (``QueryCacheProtocol``-shaped, e.g.
     :class:`repro.engine.cache.QueryCache`): conclusive subquery verdicts
@@ -122,7 +125,6 @@ class CcacVerifier:
         self,
         cfg: ModelConfig,
         wce_precision: Fraction = Fraction(1, 8),
-        validate: bool = True,
         incremental: bool = False,
         cache=None,
         certify: bool = False,
@@ -130,7 +132,6 @@ class CcacVerifier:
     ):
         self.cfg = cfg
         self.wce_precision = wce_precision
-        self.validate = validate
         self.incremental = incremental
         self.cache = cache
         self.certify = certify
@@ -188,14 +189,10 @@ class CcacVerifier:
             state.base = tuple(base)
         return state.net, state.base
 
-    def _ensure_session(self, state: _EnvState) -> SolverSession:
-        """The long-lived session holding the candidate-independent base."""
-        if state.session is None:
-            _, base = self._ensure_net(state)
-            state.session = SolverSession(
-                base, cache=self.cache, produce_proofs=self.certify
-            )
-        return state.session
+    def _new_session(self, state: _EnvState) -> SolverSession:
+        """A session over the candidate-independent base encoding."""
+        _, base = self._ensure_net(state)
+        return SolverSession(base, cache=self.cache, produce_proofs=self.certify)
 
     @contextmanager
     def _candidate_scope(
@@ -204,51 +201,35 @@ class CcacVerifier:
         state: _EnvState,
         extra_constraints: Sequence[Term] = (),
     ):
-        """Yields ``(solver_like, net)`` with the full per-candidate
-        encoding asserted; incremental mode reuses the shared base.
-        Fresh mode asserts the shared base and the candidate delta as
-        separate batches so the base compile is memo-amortized."""
+        """Yields ``(session, net)`` with the full per-candidate encoding
+        asserted: in a scope of the environment's long-lived session
+        (incremental mode), or in a new session per call (fresh mode;
+        the shared base and the candidate delta go in as separate
+        batches so the base compile is memo-amortized)."""
         if self.incremental:
-            session = self._ensure_session(state)
-            net = state.net
-            delta = state.env.candidate_constraints(net, candidate)
+            if state.session is None:
+                state.session = self._new_session(state)
+            session = state.session
+            delta = state.env.candidate_constraints(state.net, candidate)
             with session.scope(*delta, *extra_constraints):
-                yield session, net
+                yield session, state.net
         else:
-            net, base = self._ensure_net(state)
-            delta = list(state.env.candidate_constraints(net, candidate))
-            delta.extend(extra_constraints)
-            if self.cache is not None:
-                session = SolverSession(
-                    base, cache=self.cache, produce_proofs=self.certify
-                )
-                session.add(*delta)
-                yield session, net
-            else:
-                solver = Solver(produce_proofs=self.certify)
-                solver.add(*base)
-                solver.add(*delta)
-                yield solver, net
-
-    @staticmethod
-    def _solver_checks(solver) -> int:
-        """Underlying SMT check count (sessions wrap the raw solver)."""
-        stats = getattr(getattr(solver, "solver", solver), "stats", None)
-        return getattr(stats, "checks", 0)
+            session = self._new_session(state)
+            delta = state.env.candidate_constraints(state.net, candidate)
+            session.add(*delta, *extra_constraints)
+            yield session, state.net
 
     def _extract_trace(
         self, solver, state: _EnvState, model, candidate: CandidateCCA
     ):
         """Build the counterexample trace, independently validating both
-        the SAT model and the extracted trace first (when enabled)."""
-        if self.validate:
-            validate_model(solver.assertions(), model, context="verifier cex")
+        the SAT model and the extracted trace first."""
+        validate_model(solver.assertions(), model, context="verifier cex")
         trace = state.env.extract_trace(model, state.net)
         if self.environments is None:
             # legacy single-fragment mode: plain untagged traces
             trace = replace(trace, environment=None)
-        if self.validate:
-            validate_counterexample(trace, candidate=candidate)
+        validate_counterexample(trace, candidate=candidate)
         return trace
 
     def find_counterexample(
@@ -290,9 +271,9 @@ class CcacVerifier:
             outcome_env: Optional[EnvironmentSpec] = None
             for state in states:
                 # in incremental mode the session's stats are cumulative;
-                # report this call's delta like the fresh-solver path does
+                # report this call's delta like a fresh session does
                 base_checks = (
-                    self._solver_checks(state.session)
+                    state.session.solver.stats.checks
                     if state.session is not None
                     else 0
                 )
@@ -331,7 +312,7 @@ class CcacVerifier:
                         )
                     if summary is not None:
                         summaries.append(summary)
-                    total_checks += self._solver_checks(solver) - base_checks
+                    total_checks += solver.solver.stats.checks - base_checks
                 any_unknown = any_unknown or inconclusive
                 if outcome_trace is not None:
                     break

@@ -8,12 +8,16 @@ of the CEGIS + SMT stack.  Three independent multipliers compose:
   :class:`repro.service.pool.WorkerPool`; the first conclusive verdict
   (counterexample or proof) wins the round and the losers are
   cancelled.  Enabled with
-  ``SynthesisQuery(jobs=N)`` / ``ccmatic synthesize --jobs N``.
-* **Incremental sessions** (:class:`repro.smt.SolverSession`) — the
+  ``SynthesisQuery(jobs=N)`` / ``ccmatic synthesize --jobs N``.  The
+  same :class:`PortfolioVerifier` on a pool of size 1 runs
+  ``--isolate`` calls, and climbs one kill-retry ladder for both.
+* **Incremental sessions** (:class:`repro.smt.SolverSession`) — a
   verifier keeps one long-lived session holding the candidate-
   independent CCAC encoding and push/pops only the per-candidate
   assertions; CNF conversion, theory atoms, and learned clauses are all
   amortized across candidates (``CcacVerifier(incremental=True)``).
+  ``jobs > 1`` pool workers run warm sessions; a ``jobs == 1`` verifier
+  builds a fresh session per call, which measured faster there.
 * **Query caching** (:mod:`~repro.engine.cache`) — conclusive verdicts
   are content-addressed by the canonical hash of the assertion set, so
   repeated subqueries (common under range pruning and binary-search

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass, fields as dataclass_fields
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional
 
+from ..runtime.serialize import decode_config, encode_config
 from .schedule import SCHEMA_VERSION, Segment, TraceSchedule
 
 __all__ = [
@@ -142,7 +143,7 @@ class CorpusCase:
     name: str
     #: CCA spec string understood by :func:`repro.falsify.resolve_cca`
     cca: str
-    #: ModelConfig fields, Fractions as strings
+    #: ModelConfig fields (:func:`repro.runtime.serialize.encode_config`)
     cfg: dict
     #: :meth:`TraceSchedule.to_dict` payload
     schedule: dict
@@ -160,25 +161,10 @@ class CorpusCase:
         return self.provenance.get("origin") != "model-gap"
 
     def model_config(self):
-        from ..ccac import ModelConfig
-
-        kwargs = {}
-        for f in dataclass_fields(ModelConfig):
-            if f.name not in self.cfg:
-                continue
-            raw = self.cfg[f.name]
-            kwargs[f.name] = (
-                int(raw) if f.name in ("T", "D", "jitter", "history")
-                else Fraction(raw)
-            )
-        return ModelConfig(**kwargs)
+        return decode_config(self.cfg)
 
     def trace_schedule(self) -> TraceSchedule:
         return TraceSchedule.from_dict(self.schedule)
-
-
-def _cfg_dict(cfg) -> dict:
-    return {f.name: str(getattr(cfg, f.name)) for f in dataclass_fields(cfg)}
 
 
 def make_case(
@@ -201,7 +187,7 @@ def make_case(
     return CorpusCase(
         name=name,
         cca=cca_spec,
-        cfg=_cfg_dict(cfg),
+        cfg=encode_config(cfg),
         schedule=schedule.to_dict(),
         provenance=dict(provenance),
         verdict={

@@ -136,7 +136,7 @@ def _aggregate(summary: TraceSummary, rec: dict) -> None:
                 lane.runs += 1
                 lane.busy += dur
             elif name == "runtime.worker":
-                # parent-side lifetime span (isolated verifier attempts)
+                # parent-side span of a one-task pooled round (--isolate)
                 lane.wall += dur
                 if attrs.get("status") in _KILL_STATUSES:
                     lane.kills += 1

@@ -7,10 +7,11 @@ answer.  This package handles both classes explicitly:
 
 - :mod:`~repro.runtime.checkpoint` — atomic JSON checkpoints of CEGIS
   state; a SIGKILL'd run resumes deterministically (``ccmatic resume``).
-- :mod:`~repro.runtime.workers` — the pool worker process, and verifier
-  calls isolated on single-worker pools with hard wall-clock and memory
-  caps; a killed worker is an honest ``unknown``, retried with escalated
-  budgets.
+- :mod:`~repro.runtime.workers` — the pool worker process with its
+  memory cap, and the per-call limits (wall-clock budget, kill-retry
+  ladder) that :class:`repro.engine.PortfolioVerifier` applies to every
+  pooled verifier call; a killed worker is an honest ``unknown``,
+  retried with escalated budgets.
 - :mod:`~repro.runtime.degrade` — the degradation ladder: recorded,
   structured weakenings (worst-case fallback, precision step-down) so a
   stuck run still terminates with a verdict.
@@ -55,7 +56,7 @@ from .validate import (
     validate_counterexample,
     validate_model,
 )
-from .workers import IsolatedVerifier, WorkerLimits, WorkerReport
+from .workers import WorkerLimits, WorkerReport
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -64,7 +65,6 @@ __all__ = [
     "CheckpointState",
     "CheckpointStore",
     "CrossValidation",
-    "IsolatedVerifier",
     "ResilientVerifier",
     "RuntimeFault",
     "RuntimeOptions",

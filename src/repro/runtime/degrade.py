@@ -43,13 +43,12 @@ def default_precision_ladder(start: Fraction) -> tuple[Fraction, ...]:
     return tuple(rungs)
 
 
-def _mark_degraded(result):
+def _mark_degraded(result) -> None:
     """Flag a verification result as degraded (best effort, duck-typed)."""
     try:
         result.degraded = True
     except AttributeError:  # pragma: no cover - frozen result types
         pass
-    return result
 
 
 class ResilientVerifier:
@@ -59,7 +58,8 @@ class ResilientVerifier:
     shape whose results carry ``unknown``; ``wce_precision`` is stepped on
     the base when it exposes that attribute (both
     :class:`repro.core.CcacVerifier` and
-    :class:`repro.runtime.workers.IsolatedVerifier` do).
+    :class:`repro.engine.PortfolioVerifier` do).  A batch-capable base
+    gets the same ladder per portfolio round.
     """
 
     def __init__(
@@ -116,17 +116,23 @@ class ResilientVerifier:
 
     # -- the verifier protocol ------------------------------------------------
 
-    def find_counterexample(self, candidate, worst_case: bool = False, deadline=None):
+    def _run(self, call, worst_case: bool, result_of=lambda outcome: outcome):
+        """One verifier call under the ladder — a single candidate or a
+        portfolio round alike.
+
+        ``call(worst_case)`` runs the base once; ``result_of`` picks the
+        verification result out of its outcome (a round's result is
+        unknown only when nobody won it).  The result is marked degraded
+        when the ladder weakened (or skipped) the search.
+        """
         self.calls += 1
-        degraded_call = False
+        # the caller asked for wce and isn't getting it: degraded
+        degraded_call = worst_case and self._wce_disabled
         want_wce = worst_case and not self._wce_disabled
-        if worst_case and self._wce_disabled:
-            degraded_call = True  # the caller asked for wce and isn't getting it
-        result = self.base.find_counterexample(
-            candidate, worst_case=want_wce, deadline=deadline
-        )
-        if want_wce and getattr(result, "unknown", False):
-            # rung 1: worst-case search timed out -> plain counterexample
+        outcome = call(want_wce)
+        if want_wce and getattr(result_of(outcome), "unknown", False):
+            # rung 1: worst-case search inconclusive -> plain search (any
+            # counterexample still makes progress, it just prunes less)
             self._wce_failures += 1
             self._degrade(
                 "wce_fallback",
@@ -135,9 +141,7 @@ class ResilientVerifier:
                 failures=self._wce_failures,
             )
             degraded_call = True
-            result = self.base.find_counterexample(
-                candidate, worst_case=False, deadline=deadline
-            )
+            outcome = call(False)
             if not self._wce_disabled and self._wce_failures >= self.wce_fail_limit:
                 self._wce_disabled = True
                 self._degrade(
@@ -145,6 +149,7 @@ class ResilientVerifier:
                     f"disabling worst-case search after "
                     f"{self._wce_failures} failures",
                 )
+        result = result_of(outcome)
         if getattr(result, "unknown", False):
             self._unknown_streak += 1
             degraded_call = True
@@ -155,8 +160,16 @@ class ResilientVerifier:
         else:
             self._unknown_streak = 0
         if degraded_call:
-            result = _mark_degraded(result)
-        return result
+            _mark_degraded(result)
+        return outcome
+
+    def find_counterexample(self, candidate, worst_case: bool = False, deadline=None):
+        return self._run(
+            lambda wce: self.base.find_counterexample(
+                candidate, worst_case=wce, deadline=deadline
+            ),
+            worst_case,
+        )
 
     def verify(self, candidate) -> bool:
         return self.find_counterexample(candidate).verified
@@ -173,46 +186,10 @@ class ResilientVerifier:
 
     def _verify_batch(self, candidates, worst_case: bool = False, deadline=None):
         """One portfolio round under the same degradation ladder."""
-        self.calls += 1
-        degraded_call = False
-        want_wce = worst_case and not self._wce_disabled
-        if worst_case and self._wce_disabled:
-            degraded_call = True
-        verdict = self.base.verify_batch(
-            candidates, worst_case=want_wce, deadline=deadline
+        return self._run(
+            lambda wce: self.base.verify_batch(
+                candidates, worst_case=wce, deadline=deadline
+            ),
+            worst_case,
+            lambda verdict: verdict.result,
         )
-        inconclusive = verdict.winner is None and getattr(
-            verdict.result, "unknown", False
-        )
-        if want_wce and inconclusive:
-            # rung 1, batch edition: nobody finished the worst-case
-            # search -> race again with the plain search
-            self._wce_failures += 1
-            self._degrade(
-                "wce_fallback",
-                "worst-case portfolio round inconclusive; "
-                "falling back to plain search",
-                failures=self._wce_failures,
-            )
-            degraded_call = True
-            verdict = self.base.verify_batch(
-                candidates, worst_case=False, deadline=deadline
-            )
-            if not self._wce_disabled and self._wce_failures >= self.wce_fail_limit:
-                self._wce_disabled = True
-                self._degrade(
-                    "wce_disabled",
-                    f"disabling worst-case search after "
-                    f"{self._wce_failures} failures",
-                )
-        if getattr(verdict.result, "unknown", False):
-            self._unknown_streak += 1
-            degraded_call = True
-            if self._unknown_streak >= self.unknown_threshold:
-                if self._step_precision():
-                    self._unknown_streak = 0
-        else:
-            self._unknown_streak = 0
-        if degraded_call:
-            _mark_degraded(verdict.result)
-        return verdict

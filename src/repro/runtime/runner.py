@@ -3,11 +3,13 @@
 :func:`run_synthesis` composes the runtime pieces around
 :func:`repro.core.synthesize` according to :class:`RuntimeOptions`:
 
-    CcacVerifier                    (validation always innermost)
-      -> IsolatedVerifier           (optional: worker isolation + caps)
-         or PortfolioVerifier       (jobs > 1: batches on a WorkerPool)
+    CcacVerifier                    (jobs == 1, in-process)
+      or PortfolioVerifier          (jobs > 1 or --isolate: one pool per run)
         -> ResilientVerifier        (optional: degradation ladder)
           -> CegisLoop + CheckpointStore (optional: crash-safe state)
+
+Every SAT answer is independently validated inside ``CcacVerifier``,
+whichever process runs it.
 
 :func:`resume_synthesis` rebuilds the original query from the checkpoint's
 embedded metadata, verifies the fingerprint, and continues the run —
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import os
 import shutil
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -37,7 +40,7 @@ from .serialize import (
     encode_trace,
     query_fingerprint,
 )
-from .workers import IsolatedVerifier, WorkerLimits
+from .workers import WorkerLimits
 
 __all__ = [
     "RuntimeOptions",
@@ -53,18 +56,17 @@ class RuntimeOptions:
 
     #: checkpoint file; None disables crash-safe persistence
     checkpoint_path: Optional[str] = None
-    #: run verifier calls in isolated, resource-capped workers
+    #: run verifier calls in resource-capped pool workers even at
+    #: ``jobs == 1`` (``jobs > 1`` always does)
     isolate: bool = False
-    #: per-call wall-clock cap for isolated workers, seconds
+    #: per-call wall-clock cap for pool workers, seconds
     solver_timeout: float = 60.0
     #: per-worker address-space cap in MiB (None = unlimited)
     solver_mem_mb: Optional[int] = None
-    #: extra attempts after a killed worker
+    #: extra attempts after a round whose workers were all killed
     retries: int = 1
     #: apply the degradation ladder (wce fallback / precision step-down)
     degrade: bool = True
-    #: independently validate every SAT model and counterexample
-    validate: bool = True
     #: precision of the worst-case counterexample binary search
     wce_precision: Fraction = Fraction(1, 8)
     #: advisory: run every solution through the discrete simulator and
@@ -80,19 +82,15 @@ class RuntimeOptions:
     #: directory of the shared on-disk query cache (None disables it);
     #: portfolio workers and successive runs pool conclusive verdicts
     cache_dir: Optional[str] = None
-    #: keep one incremental solver session across verifier calls of the
-    #: in-process verifier (``jobs=1``, no isolation).  Portfolio workers
-    #: (``jobs > 1``) always keep warm incremental sessions; isolated
-    #: attempts always build a fresh verifier
-    incremental: bool = False
     #: produce and independently check an UNSAT proof for every verified
     #: verdict (see :mod:`repro.trust`); a proof that fails to check
     #: raises :class:`~repro.runtime.errors.SoundnessError`
     certify: bool = False
     #: runtime-injected persistent worker pool
-    #: (:class:`repro.service.pool.WorkerPool`) for the portfolio rounds
-    #: of ``jobs > 1`` runs.  When None, :func:`run_synthesis` starts a
-    #: pool of size ``jobs`` for the run and shuts it down afterwards.
+    #: (:class:`repro.service.pool.WorkerPool`) for the verifier calls of
+    #: ``jobs > 1`` or isolated runs.  When None, :func:`run_synthesis`
+    #: starts a pool of size ``jobs`` for the run and shuts it down
+    #: afterwards.
     #: Never serialized — a pool belongs to the process that started it,
     #: and an injected pool's lifecycle stays with its owner
     worker_pool: Optional[object] = None
@@ -117,12 +115,9 @@ def make_checkpoint_store(query, path: str) -> CheckpointStore:
 def _build_verifier(query, options: RuntimeOptions):
     """The verifier stack for a run; returns (verifier, parts) where
     ``parts`` are the layers whose ``degradations`` should be merged."""
-    from ..core.verifier import CcacVerifier
-
-    parts = []
     jobs = int(getattr(query, "jobs", 1))
     environments = getattr(query, "environments", None)
-    if jobs > 1:
+    if jobs > 1 or options.isolate:
         from ..engine import PortfolioVerifier
 
         base = PortfolioVerifier(
@@ -130,30 +125,16 @@ def _build_verifier(query, options: RuntimeOptions):
             jobs=jobs,
             wce_precision=options.wce_precision,
             limits=WorkerLimits(
-                wall_time=options.solver_timeout,
-                memory_mb=options.solver_mem_mb,
-                retries=options.retries,
+                wall_time=options.solver_timeout, retries=options.retries,
             ),
-            validate=options.validate,
             cache_dir=options.cache_dir,
             certify=options.certify,
             pool=options.worker_pool,
             environments=environments,
         )
-    elif options.isolate:
-        base = IsolatedVerifier(
-            query.cfg,
-            wce_precision=options.wce_precision,
-            limits=WorkerLimits(
-                wall_time=options.solver_timeout,
-                memory_mb=options.solver_mem_mb,
-                retries=options.retries,
-            ),
-            validate=options.validate,
-            certify=options.certify,
-            environments=environments,
-        )
     else:
+        from ..core.verifier import CcacVerifier
+
         cache = None
         if options.cache_dir:
             from ..engine import QueryCache
@@ -162,13 +143,11 @@ def _build_verifier(query, options: RuntimeOptions):
         base = CcacVerifier(
             query.cfg,
             wce_precision=options.wce_precision,
-            validate=options.validate,
-            incremental=options.incremental,
             cache=cache,
             certify=options.certify,
             environments=environments,
         )
-    parts.append(base)
+    parts = [base]
     verifier = base
     if options.degrade:
         verifier = ResilientVerifier(base)
@@ -195,24 +174,23 @@ def run_synthesis(query, options: Optional[RuntimeOptions] = None):
             os.path.dirname(os.path.abspath(options.checkpoint_path)) or "."
         )
     ensure_flight_recorder()
-    owned_pool = None
     jobs = int(getattr(query, "jobs", 1))
-    if jobs > 1 and options.worker_pool is None:
-        from ..service.pool import WorkerPool
+    with ExitStack() as stack:
+        if jobs > 1 or options.isolate:
+            # one pool for the whole run (an injected one is kept as is)
+            from ..engine.portfolio import worker_pool
 
-        owned_pool = WorkerPool(size=jobs, memory_mb=options.solver_mem_mb)
-        options = replace(options, worker_pool=owned_pool)
-    verifier, parts = _build_verifier(query, options)
-    checkpoint = (
-        make_checkpoint_store(query, options.checkpoint_path)
-        if options.checkpoint_path
-        else None
-    )
-    try:
+            pool = stack.enter_context(
+                worker_pool(options.worker_pool, jobs, options.solver_mem_mb)
+            )
+            options = replace(options, worker_pool=pool)
+        verifier, parts = _build_verifier(query, options)
+        checkpoint = (
+            make_checkpoint_store(query, options.checkpoint_path)
+            if options.checkpoint_path
+            else None
+        )
         result = synthesize(query, verifier=verifier, checkpoint=checkpoint)
-    finally:
-        if owned_pool is not None:
-            owned_pool.shutdown()
     merged: list = []
     for part in parts:
         merged.extend(getattr(part, "degradations", ()))

@@ -1,4 +1,4 @@
-"""Solver worker processes: the pool child, and isolation around checks.
+"""Solver worker processes: the pool child and its primitives.
 
 Every worker process under ``src/`` is started by
 :func:`spawn_pool_worker` and driven by
@@ -6,21 +6,18 @@ Every worker process under ``src/`` is started by
 local ``--jobs`` portfolios, ``--isolate`` runs, falsification grids and
 the job service.  This module holds the process side of that layer: the
 long-lived child loop (:func:`_pool_child`), its spawn, heartbeat and
-disposal primitives, and :class:`IsolatedVerifier`.
+disposal primitives, and the :class:`WorkerLimits` /
+:class:`WorkerReport` records the verifier side reads.
 
 The from-scratch DPLL(T) solver runs exact-Fraction arithmetic in pure
 Python: a single pathological query can pin a core for hours or swallow
 all RAM, and the in-band ``deadline`` check only fires *between*
-conflicts.  :class:`IsolatedVerifier` provides the out-of-band
-guarantee: each verifier call runs on a single-worker pool whose batch
-watchdog cancels the task (SIGUSR1, then a kill after ``kill_grace``)
-and whose child self-limits memory via
-``resource.setrlimit(RLIMIT_AS, ...)``.
-
-A killed or OOM'd worker is an *honest* ``unknown`` — never a crash of
-the synthesis run and never a silent "verified".  Failures are retried a
-bounded number of times in a fresh worker with an escalated wall-clock
-budget, each kill emitting a ``runtime.degrade`` event.
+conflicts.  The pool provides the out-of-band guarantee: its batch
+watchdog cancels a task (SIGUSR1, then a kill after ``kill_grace``) and
+each child self-limits memory via ``resource.setrlimit(RLIMIT_AS, ...)``.
+:class:`repro.engine.portfolio.PortfolioVerifier` turns a killed worker
+into an honest ``unknown`` after a bounded, escalating retry ladder set
+by :class:`WorkerLimits`.
 
 The one exception: a :class:`SoundnessError` raised inside the worker
 (independent validation refuting a solver result) is re-raised in the
@@ -31,21 +28,15 @@ parent verbatim.  Soundness failures must never be degraded to
 from __future__ import annotations
 
 import multiprocessing
-import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Optional
 
 from ..chaos.faults import chaos_point, maybe_install_from_env, set_injector
-from ..chaos.supervisor import full_jitter_backoff
-from ..obs import WARN, metrics, tracer
-from ..obs.flight import dump_flight
+from ..obs import tracer
 from ..obs.relay import TraceContext
-from .errors import SoundnessError
 
 __all__ = [
-    "IsolatedVerifier",
     "WorkerLimits",
     "WorkerReport",
     "probe_worker",
@@ -56,11 +47,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WorkerLimits:
-    """Resource caps for one isolated call (and its retry policy)."""
+    """Per-call budget of a pooled verifier call, and its kill-retry
+    ladder (the memory cap is the pool's own ``memory_mb``)."""
 
     wall_time: float = 60.0          # soft in-child deadline, seconds
-    memory_mb: Optional[int] = None  # RLIMIT_AS cap; None = unlimited
-    retries: int = 1                 # extra attempts after the first failure
+    retries: int = 1                 # extra attempts after an all-killed round
     escalation: float = 2.0          # wall-time multiplier per retry
     kill_grace: float = 1.0          # SIGTERM -> SIGKILL grace, seconds
     backoff_base: float = 0.25       # full-jitter retry backoff base, seconds
@@ -78,7 +69,6 @@ class WorkerReport:
     status: str  # ok | timeout | oom | crash | error | cancelled
     result: Any = None
     detail: str = ""
-    wall_time: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -297,187 +287,3 @@ def probe_worker(proc, conn, timeout: float = 1.0) -> str:
         # stale telemetry/result from a cancelled task: drop and keep
         # waiting for the pong
         continue
-
-
-# -- the isolated CCAC verifier ----------------------------------------------
-
-
-class IsolatedVerifier:
-    """Drop-in for :class:`repro.core.CcacVerifier` with process isolation.
-
-    Each attempt of a ``find_counterexample`` call runs on a fresh
-    single-worker :class:`~repro.service.pool.WorkerPool` under
-    ``limits`` (pool ``retries=0``: this class owns the retry policy); a
-    killed worker yields ``unknown`` (with ``degraded=True`` so the CEGIS
-    loop reports an honest stop reason) after bounded retries with
-    escalated budgets.
-    """
-
-    #: hard watchdog headroom over the in-child soft deadline
-    WATCHDOG_SLACK = 1.25
-
-    def __init__(
-        self,
-        cfg,
-        wce_precision: Fraction = Fraction(1, 8),
-        limits: WorkerLimits = WorkerLimits(),
-        validate: bool = True,
-        retry_seed: Optional[int] = None,
-        certify: bool = False,
-        environments=None,
-    ):
-        self.cfg = cfg
-        self.wce_precision = Fraction(wce_precision)
-        self.limits = limits
-        self.validate = validate
-        self.certify = certify
-        self.environments = (
-            tuple(environments) if environments is not None else None
-        )
-        self.calls = 0
-        self.total_time = 0.0
-        self.kills = 0
-        self.degradations: list[dict] = []
-        # seedable so chaos experiments replay the same retry schedule
-        self._retry_rng = random.Random(retry_seed)
-
-    def find_counterexample(
-        self,
-        candidate,
-        worst_case: bool = False,
-        deadline: Optional[float] = None,
-    ):
-        from ..core.verifier import VerificationResult
-
-        self.calls += 1
-        tr = tracer()
-        start = time.perf_counter()
-        limits = self.limits
-        attempts = max(0, limits.retries) + 1
-        last_report: Optional[WorkerReport] = None
-        for attempt in range(attempts):
-            budget = limits.budget(attempt)
-            if deadline is not None:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
-                budget = min(budget, remaining)
-            watchdog = budget * self.WATCHDOG_SLACK + limits.kill_grace
-            report = self._attempt(
-                attempt,
-                (
-                    self.cfg,
-                    self.wce_precision,
-                    candidate,
-                    worst_case,
-                    budget,
-                    self.validate,
-                    None,
-                    self.certify,
-                    self.environments,
-                ),
-                watchdog,
-            )
-            last_report = report
-            self.total_time += report.wall_time
-            if report.ok:
-                result = report.result
-                # in-child soft-deadline expiry is a plain unknown, not a
-                # kill: return it as-is and let the caller's policy decide
-                return result
-            # killed (timeout / oom / crash): record, notify, retry fresh.
-            # A child exception never gets here: the pool batch raised it
-            # as a WorkerError.
-            self.kills += 1
-            event = {
-                "kind": "worker_killed",
-                "status": report.status,
-                "attempt": attempt + 1,
-                "attempts": attempts,
-                "budget": round(budget, 3),
-                "detail": report.detail,
-            }
-            self.degradations.append(event)
-            metrics().counter("runtime.worker_kills").inc()
-            if tr.enabled:
-                tr.event(
-                    "runtime.degrade",
-                    level=WARN,
-                    msg=(
-                        f"[runtime] solver worker {report.status} "
-                        f"(attempt {attempt + 1}/{attempts}, "
-                        f"budget {budget:.1f}s) -> "
-                        + ("retrying" if attempt + 1 < attempts else "unknown")
-                    ),
-                    **event,
-                )
-            if attempt + 1 < attempts:
-                # full-jitter backoff between attempts: a fanned-out bad
-                # query must not stampede back in lockstep.  Deadline-aware:
-                # never sleep past the caller's remaining time budget.
-                delay = full_jitter_backoff(
-                    limits.backoff_base,
-                    attempt,
-                    cap=limits.backoff_cap,
-                    rng=self._retry_rng,
-                )
-                if deadline is not None:
-                    delay = min(delay, max(0.0, deadline - time.perf_counter()))
-                if delay > 0:
-                    time.sleep(delay)
-        elapsed = time.perf_counter() - start
-        detail = last_report.detail if last_report else "deadline already expired"
-        if last_report is not None and last_report.status in (
-            "timeout", "oom", "crash",
-        ):
-            # every retry was killed: the escalation ladder is exhausted
-            # and the run degrades — preserve the black box
-            dump_flight("worker-escalation")
-        return VerificationResult(
-            candidate=candidate,
-            verified=False,
-            counterexample=None,
-            wall_time=elapsed,
-            solver_checks=0,
-            unknown=True,
-            degraded=True,
-        )
-
-    def _attempt(self, attempt: int, args: tuple, watchdog: float) -> WorkerReport:
-        """One fresh-verifier task on its own single-worker pool.
-
-        The parent-side ``runtime.worker`` span spans the worker's whole
-        life and records the attempt's ``status`` (``ccmatic report``
-        counts kills from it); the relayed child spans nest inside it.
-        """
-        from ..engine.portfolio import _verify_candidate_task
-        from ..service.pool import WorkerPool
-
-        status = "error"  # unless the batch returns or raises soundness
-        start = time.perf_counter()
-        with tracer().span("runtime.worker", worker="p0", attempt=attempt) as span:
-            try:
-                with WorkerPool(
-                    size=1,
-                    memory_mb=self.limits.memory_mb,
-                    kill_grace=self.limits.kill_grace,
-                    retries=0,
-                ) as pool:
-                    outcome = pool.run_batch(
-                        [(_verify_candidate_task, args)],
-                        accept=lambda _r: False,
-                        wall_time=watchdog,
-                    )
-                report = outcome.reports[0]
-                report.wall_time = time.perf_counter() - start
-                status = report.status
-            except SoundnessError:
-                status = "soundness"
-                raise
-            finally:
-                span.set(status=status)
-        return report
-
-    def verify(self, candidate) -> bool:
-        """Convenience wrapper mirroring :meth:`CcacVerifier.verify`."""
-        return self.find_counterexample(candidate).verified

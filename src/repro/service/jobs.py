@@ -154,19 +154,19 @@ def spec_deadline(spec: JobSpec) -> Optional[float]:
 #: RuntimeOptions fields carried in a synthesis spec, with their codecs.
 #: checkpoint_path is deliberately NOT part of a spec — where state lives
 #: is the executor's business (the server keeps it under its state dir).
+#: Keys a spec carries beyond these (e.g. the retired validation and
+#: warm-session switches) are ignored on decode.
 _OPTION_FIELDS = {
     "isolate": (bool, bool),
     "solver_timeout": (float, float),
     "solver_mem_mb": (lambda v: v, lambda v: v),
     "retries": (int, int),
     "degrade": (bool, bool),
-    "validate": (bool, bool),
     "wce_precision": (str, Fraction),
     "cross_check": (bool, bool),
     "falsify": (int, int),
     "falsify_seed": (int, int),
     "cache_dir": (lambda v: v, lambda v: v),
-    "incremental": (bool, bool),
     "certify": (bool, bool),
 }
 

@@ -1,9 +1,10 @@
 """Persistent worker pool: the one fan-out layer for worker processes.
 
 Every worker process under ``src/`` belongs to a :class:`WorkerPool`:
-local ``--jobs`` portfolio rounds (a pool per run), ``--isolate``
-verifier attempts (a single-worker pool per attempt), falsification
-grid chunks (a pool per grid) and the job service (one shared pool).
+the verifier calls of a local ``--jobs N`` or ``--isolate`` run (one
+pool of size ``jobs`` per run, dispatched to by
+:class:`~repro.engine.portfolio.PortfolioVerifier`), falsification grid
+chunks (a pool per grid) and the job service (one shared pool).
 A pool keeps ``size`` long-lived workers
 (:func:`repro.runtime.workers.spawn_pool_worker`) that boot once, run an
 optional *prime* call (warm the intern table, import the heavy modules),
@@ -358,7 +359,7 @@ class WorkerPool:
                         lane = by_conn[conn]
                         if self._consume(
                             lane, leased, tokens, queue, attempts, outcome,
-                            start, accept_fn, anchor, anchor_depth,
+                            accept_fn, anchor, anchor_depth,
                         ):
                             break  # winner accepted
                 # losers: anything queued or in flight when the race ended
@@ -511,7 +512,7 @@ class WorkerPool:
             lane.busy = token
 
     def _consume(
-        self, lane, leased, tokens, queue, attempts, outcome, start,
+        self, lane, leased, tokens, queue, attempts, outcome,
         accept_fn, anchor, anchor_depth,
     ) -> bool:
         """Read one message from a busy lane.  True = winner accepted."""
@@ -547,10 +548,7 @@ class WorkerPool:
             self._cancel_busy(leased, outcome, tokens)
             raise SoundnessError(payload)
         if status == "ok":
-            outcome.reports[idx] = WorkerReport(
-                status="ok", result=payload,
-                wall_time=time.perf_counter() - start,
-            )
+            outcome.reports[idx] = WorkerReport(status="ok", result=payload)
             if outcome.winner is None and accept_fn(payload):
                 outcome.winner = idx
                 outcome.result = payload
@@ -559,16 +557,12 @@ class WorkerPool:
         if status == "oom":
             # the worker survived (MemoryError caught in-child) but its
             # warm state is suspect: retire it
-            outcome.reports[idx] = WorkerReport(
-                status="oom", detail=str(payload),
-                wall_time=time.perf_counter() - start,
-            )
+            outcome.reports[idx] = WorkerReport(status="oom", detail=str(payload))
             self._retire(lane, leased)
             return False
         outcome.reports[idx] = WorkerReport(
             status="cancelled" if status == "cancelled" else "error",
             detail=str(payload),
-            wall_time=time.perf_counter() - start,
         )
         return False
 

@@ -19,7 +19,9 @@ import pytest
 from repro.cegis import CegisLoop, CegisOptions, StopReason
 from repro.core import synthesize
 from repro.core.synthesizer import make_generator
-from repro.runtime import IsolatedVerifier, RuntimeOptions, WorkerLimits, run_synthesis
+from repro.engine import PortfolioVerifier
+from repro.runtime import RuntimeOptions, WorkerLimits, run_synthesis
+from repro.service import WorkerPool
 
 pytestmark = pytest.mark.runtime
 
@@ -134,15 +136,20 @@ class TestKilledWorkerStillTerminates:
         import repro.engine.portfolio as portfolio_mod
 
         monkeypatch.setattr(portfolio_mod, "_verify_candidate_task", _hang)
-        monkeypatch.setattr(IsolatedVerifier, "WATCHDOG_SLACK", 1.0)
-        verifier = IsolatedVerifier(
-            tiny_query.cfg,
-            limits=WorkerLimits(
-                wall_time=0.2, retries=1, escalation=1.0, kill_grace=0.3
-            ),
-        )
-        generator = make_generator(tiny_query)
-        outcome = CegisLoop(generator, verifier, CegisOptions(time_budget=60)).run()
+        monkeypatch.setattr(PortfolioVerifier, "WATCHDOG_SLACK", 1.0)
+        with WorkerPool(size=1) as pool:
+            verifier = PortfolioVerifier(
+                tiny_query.cfg,
+                jobs=1,
+                limits=WorkerLimits(
+                    wall_time=0.2, retries=1, escalation=1.0, kill_grace=0.3
+                ),
+                pool=pool,
+            )
+            generator = make_generator(tiny_query)
+            outcome = CegisLoop(
+                generator, verifier, CegisOptions(time_budget=60)
+            ).run()
         assert outcome.stop_reason is StopReason.DEGRADED
         assert not outcome.found
         kills = recording_sink.events("runtime.degrade")

@@ -60,6 +60,24 @@ class TestJobSpec:
         assert back.falsify == 250
         assert back.certify is True
 
+    @pytest.mark.parametrize("retired", [
+        {"validate": False}, {"incremental": True},
+    ])
+    def test_retired_option_keys_are_ignored(self, retired):
+        """A synthesize spec written before the ``validate`` and
+        ``incremental`` switches were removed still decodes (same
+        ``JOBSPEC_VERSION``); the retired keys are ignored."""
+        query = SynthesisQuery(
+            spec=table1_spaces()["no_cwnd_small"], cfg=ModelConfig(T=5)
+        )
+        wire = synthesis_spec(query, RuntimeOptions(isolate=True)).to_json()
+        wire["params"]["options"].update(retired)
+        spec = JobSpec.from_json(json.loads(json.dumps(wire)))
+        assert spec.version == JOBSPEC_VERSION
+        options = _decode_options(spec.params["options"])
+        assert options == RuntimeOptions(isolate=True)
+        assert not hasattr(options, next(iter(retired)))
+
     def test_checkpoint_path_is_not_part_of_a_spec(self):
         options = RuntimeOptions(checkpoint_path="/tmp/run.ckpt")
         query = SynthesisQuery(

@@ -68,6 +68,26 @@ class TestCommands:
         assert "COUNTEREXAMPLE" in out
         assert "utilization" in out
 
+    def test_certify_rocc_and_const1(self, capsys):
+        """``certify`` prints the checked proof of a verified CCA and
+        exits 0; a refuted CCA prints its counterexample line (there is
+        nothing to certify, so that is not a failure)."""
+        rc = main(["certify", "rocc", "--T", "5"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.startswith("rocc: ")
+        assert "CERTIFIED in" in out
+        assert "proof checked:" in out and "Farkas lemmas" in out
+        rc = main(["certify", "const:1", "--T", "5"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "COUNTEREXAMPLE" in out
+        assert "CERTIFIED" not in out
+
+    def test_certify_unknown_cca_rejected(self):
+        with pytest.raises(SystemExit, match="unknown CCA"):
+            main(["certify", "bbr", "--T", "5"])
+
     def test_simulate(self, capsys):
         rc = main(["simulate", "--ticks", "30"])
         out = capsys.readouterr().out
